@@ -4,8 +4,9 @@
 //! For each stream count the same generated instance (fat-tree fabric,
 //! mixed gigabit/fast links) is solved three times:
 //!
-//! * **heuristic-first** — `tsn_scale`'s greedy first-fit placement with SMT
-//!   repair only for the stragglers (`SynthesisStrategy::HeuristicFirst`);
+//! * **heuristic-first** — `tsn_scale`'s greedy first-fit placement against
+//!   one shared occupancy table, with SMT repair only for the stragglers
+//!   (`SynthesisStrategy::HeuristicFirst`);
 //! * **partitioned** — the contention-partitioned parallel SMT solver with
 //!   conflict repair (fallback disabled, so the numbers are honest);
 //! * **monolithic** — the paper-faithful `tsn_synthesis` path under a
@@ -24,8 +25,9 @@
 //! every perf PR appends one line, so regressions are visible across the
 //! whole history. The schema is the flat object written by
 //! [`Point::bench_line`]; since the telemetry PR it includes the
-//! per-partition `heuristic_p95_us`/`repair_p95_us` phase percentiles from
-//! the `tsn_telemetry` histograms, scoped to **this run** via
+//! `heuristic_p95_us`/`repair_p95_us` phase percentiles (one placement pass
+//! and at most one straggler repair per run) from the `tsn_telemetry`
+//! histograms, scoped to **this run** via
 //! `Histogram::delta_since` snapshots (the registry is process-cumulative,
 //! and the sweep solves every instance three times in one process).
 //!
@@ -82,12 +84,12 @@ struct Point {
     heuristic_repaired: usize,
     heuristic_fallbacks: usize,
     heuristic_stable: usize,
-    /// p95 of per-partition heuristic placement time: the delta of the
+    /// Bucket bound of the one placement pass: the delta of the
     /// process-wide `scale_heuristic_seconds` histogram across exactly this
     /// point's heuristic-first run (snapshot before, delta after), so
     /// earlier sweep points and the pure-SMT runs cannot leak in.
     heuristic_p95_us: f64,
-    /// p95 of per-partition straggler-repair time, from the same-scoped
+    /// p95 of the straggler-repair time, from the same-scoped
     /// delta of `scale_repair_seconds`. Exactly `0.0` when the run repaired
     /// nothing (`repaired_apps == 0`) — straggler repair is a separate
     /// histogram from the cross-partition conflict-repair rounds, which

@@ -44,40 +44,12 @@ impl Topology {
     /// arguments.
     pub fn shortest_route(&self, source: NodeId, destination: NodeId) -> Result<Route, NetError> {
         self.check_route_endpoints(source, destination)?;
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut seen = vec![false; self.node_count()];
-        let mut queue = VecDeque::new();
-        seen[source.index()] = true;
-        queue.push_back(source);
-        while let Some(n) = queue.pop_front() {
-            if n == destination {
-                break;
-            }
-            // Only switches (or the source itself) may forward.
-            if n != source && !self.is_forwarding_node(n) {
-                continue;
-            }
-            for next in self.neighbors(n) {
-                if !seen[next.index()] {
-                    seen[next.index()] = true;
-                    prev[next.index()] = Some(n);
-                    queue.push_back(next);
-                }
-            }
-        }
-        if !seen[destination.index()] {
-            return Err(NetError::NoRoute {
+        let nodes = self
+            .constrained_shortest(source, destination, &[], &[])
+            .ok_or(NetError::NoRoute {
                 source,
                 destination,
-            });
-        }
-        let mut nodes = vec![destination];
-        let mut cur = destination;
-        while let Some(p) = prev[cur.index()] {
-            nodes.push(p);
-            cur = p;
-        }
-        nodes.reverse();
+            })?;
         self.route_from_nodes(&nodes)
     }
 
@@ -153,6 +125,13 @@ impl Topology {
 
     /// BFS shortest path avoiding `banned_nodes` entirely and avoiding the
     /// given first hops out of `source`.
+    ///
+    /// Only switches are ever enqueued: an end station cannot forward, so
+    /// expanding it could never reach anything, and on a fabric with a dozen
+    /// end stations per switch they are most of the graph. The search stops
+    /// the moment the destination is discovered — its predecessor chain is
+    /// fixed by then — and switches are still visited in egress-port order,
+    /// so the path is the one a plain BFS over every node returns.
     fn constrained_shortest(
         &self,
         source: NodeId,
@@ -168,29 +147,25 @@ impl Topology {
         let mut queue = VecDeque::new();
         seen[source.index()] = true;
         queue.push_back(source);
-        while let Some(n) = queue.pop_front() {
-            if n == destination {
-                break;
-            }
-            if n != source && !self.is_forwarding_node(n) {
-                continue;
-            }
-            for next in self.neighbors(n) {
-                if n == source && banned_first_hops.contains(&next) {
+        'search: while let Some(n) = queue.pop_front() {
+            for &link in self.out_links(n) {
+                let next = self.link(link).target();
+                if seen[next.index()] || (n == source && banned_first_hops.contains(&next)) {
                     continue;
                 }
-                if !seen[next.index()] {
-                    seen[next.index()] = true;
-                    prev[next.index()] = Some(n);
+                seen[next.index()] = true;
+                prev[next.index()] = Some(n);
+                if next == destination {
+                    break 'search;
+                }
+                if self.is_forwarding_node(next) {
                     queue.push_back(next);
                 }
             }
         }
-        if !seen[destination.index()]
-            || (destination != source && prev[destination.index()].is_none())
-        {
-            return None;
-        }
+        // Every discovered node has a predecessor, so the chain from a
+        // discovered destination ends at the source.
+        prev[destination.index()]?;
         let mut nodes = vec![destination];
         let mut cur = destination;
         while let Some(p) = prev[cur.index()] {
@@ -198,9 +173,6 @@ impl Topology {
             cur = p;
         }
         nodes.reverse();
-        if nodes.first() != Some(&source) {
-            return None;
-        }
         Some(nodes)
     }
 

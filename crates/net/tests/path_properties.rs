@@ -167,3 +167,146 @@ fn ring_offers_two_disjoint_route_families() {
         );
     }
 }
+
+/// The BFS this crate used before it stopped enqueueing end stations and
+/// allocating a neighbour list per visited node, kept verbatim as the
+/// reference: every node is enqueued, end stations are skipped only when
+/// popped, and the search ends when the destination itself is popped.
+fn reference_constrained_shortest(
+    topo: &Topology,
+    source: NodeId,
+    destination: NodeId,
+    banned_nodes: &[NodeId],
+    banned_first_hops: &[NodeId],
+) -> Option<Vec<NodeId>> {
+    let mut prev: Vec<Option<NodeId>> = vec![None; topo.node_count()];
+    let mut seen = vec![false; topo.node_count()];
+    for &b in banned_nodes {
+        seen[b.index()] = true;
+    }
+    let mut queue = std::collections::VecDeque::new();
+    seen[source.index()] = true;
+    queue.push_back(source);
+    while let Some(n) = queue.pop_front() {
+        if n == destination {
+            break;
+        }
+        if n != source && !topo.node(n).kind().is_switch() {
+            continue;
+        }
+        for next in topo.neighbors(n) {
+            if n == source && banned_first_hops.contains(&next) {
+                continue;
+            }
+            if !seen[next.index()] {
+                seen[next.index()] = true;
+                prev[next.index()] = Some(n);
+                queue.push_back(next);
+            }
+        }
+    }
+    if !seen[destination.index()] || prev[destination.index()].is_none() {
+        return None;
+    }
+    let mut nodes = vec![destination];
+    let mut cur = destination;
+    while let Some(p) = prev[cur.index()] {
+        nodes.push(p);
+        cur = p;
+    }
+    nodes.reverse();
+    (nodes.first() == Some(&source)).then_some(nodes)
+}
+
+/// Yen's algorithm exactly as `Topology::k_shortest_routes` runs it, over
+/// the reference BFS.
+fn reference_k_shortest(
+    topo: &Topology,
+    source: NodeId,
+    destination: NodeId,
+    k: usize,
+) -> Vec<Route> {
+    use std::collections::BTreeSet;
+    let first = reference_constrained_shortest(topo, source, destination, &[], &[])
+        .expect("endpoints are connected");
+    let mut result = vec![topo
+        .route_from_nodes(&first)
+        .expect("a BFS path is a route")];
+    let mut candidates: BTreeSet<(usize, Vec<NodeId>)> = BTreeSet::new();
+    while result.len() < k {
+        let last = result.last().expect("result never empty").clone();
+        for i in 0..last.nodes().len() - 1 {
+            let root = &last.nodes()[..=i];
+            let banned_next: Vec<NodeId> = result
+                .iter()
+                .filter(|r| r.nodes().len() > i && r.nodes()[..=i] == *root)
+                .map(|r| r.nodes()[i + 1])
+                .collect();
+            if let Some(spur) =
+                reference_constrained_shortest(topo, root[i], destination, &root[..i], &banned_next)
+            {
+                let mut total = root.to_vec();
+                total.extend_from_slice(&spur[1..]);
+                let mut unique = BTreeSet::new();
+                if total.iter().all(|n| unique.insert(*n)) {
+                    candidates.insert((total.len(), total));
+                }
+            }
+        }
+        let Some((_, nodes)) = candidates.pop_first() else {
+            break;
+        };
+        if result.iter().any(|r| r.nodes() == nodes.as_slice()) {
+            continue;
+        }
+        result.push(
+            topo.route_from_nodes(&nodes)
+                .expect("a spur path is a route"),
+        );
+    }
+    result
+}
+
+#[test]
+fn switch_only_bfs_returns_the_routes_of_the_full_bfs_in_the_same_order() {
+    let fast = LinkSpec::fast_ethernet();
+    let with_stations = |(topology, switches): (Topology, Vec<NodeId>), count, seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        builders::attach_end_stations(topology, &switches, count, fast, &mut rng)
+    };
+    let (fat_tree, layers) = builders::fat_tree(4, fast);
+    assert_eq!(layers.switch_count(), 20);
+    let networks = [
+        builders::figure1_example(fast),
+        with_stations(builders::switch_ring(8, fast), 4, 8),
+        with_stations(builders::switch_grid(3, 3, fast), 4, 33),
+        with_stations((fat_tree, layers.edge), 12, 20),
+    ];
+    let mut compared = 0usize;
+    for net in &networks {
+        for &sensor in &net.sensors {
+            for &controller in &net.controllers {
+                for k in [1, 3, 4] {
+                    let routes = net
+                        .topology
+                        .k_shortest_routes(sensor, controller, k)
+                        .expect("endpoints are connected");
+                    assert_eq!(
+                        routes,
+                        reference_k_shortest(&net.topology, sensor, controller, k),
+                        "{sensor:?} -> {controller:?}, k = {k}"
+                    );
+                    assert_eq!(
+                        net.topology
+                            .shortest_route(sensor, controller)
+                            .ok()
+                            .as_ref(),
+                        routes.first()
+                    );
+                    compared += routes.len();
+                }
+            }
+        }
+    }
+    assert!(compared > 1000, "only {compared} routes compared");
+}

@@ -1,5 +1,5 @@
-//! The partitioned parallel synthesizer: per-partition warm-started solves
-//! on a scoped thread pool, followed by a conflict-repair loop.
+//! The partitioned synthesizer: greedy placement on one shared table or
+//! parallel per-partition warm-started solves, then a conflict-repair loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -18,52 +18,45 @@ use tsn_synthesis::{
 use crate::heuristic::{place_app, OccupancyTable};
 use crate::partition::{plan_partitions, PartitionPlan};
 
-/// How each partition is solved.
+/// How every application gets its schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SynthesisStrategy {
     /// Every partition is solved entirely by the staged SMT encoder.
     #[default]
     SmtOnly,
-    /// Each partition is first placed by the greedy first-fit heuristic
-    /// ([`crate::heuristic`]); the SMT encoder is invoked only to repair the
-    /// applications the heuristic cannot place (with the heuristic placement
-    /// pinned), and a whole-partition SMT solve remains the fallback when
-    /// even the repair fails.
+    /// Every application is placed by the greedy first-fit heuristic against
+    /// one occupancy table shared by the whole problem
+    /// ([`crate::heuristic`]), so placed applications never collide. SMT only
+    /// repairs the applications first-fit cannot place, against the pinned
+    /// placement; if that fails the run falls back to the entire
+    /// [`SmtOnly`](Self::SmtOnly) pipeline, so heuristic-first solves
+    /// whatever SMT-only solves.
     HeuristicFirst,
 }
 
-/// Aggregate statistics of the heuristic-first placement across all
-/// partitions (all zero under [`SynthesisStrategy::SmtOnly`]).
+/// Statistics of the heuristic-first placement (all zero under
+/// [`SynthesisStrategy::SmtOnly`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeuristicStats {
     /// Applications placed by the greedy heuristic alone.
     pub placed_apps: usize,
     /// Applications the SMT repair had to place.
     pub repaired_apps: usize,
-    /// Partitions that fell back to a whole-partition SMT solve.
+    /// Partitions solved by SMT after the fallback: all of them or none.
     pub fallback_partitions: usize,
 }
 
-/// Per-partition heuristic counters, folded into [`HeuristicStats`].
-#[derive(Debug, Clone, Copy, Default)]
-struct HeuristicCounters {
-    placed: usize,
-    repaired: usize,
-    fallback: bool,
-}
-
-/// Always-on latency histograms for the scale phases. Observations are per
-/// partition (solve, heuristic placement) or per repair solve, a few
-/// hundred per synthesis run — `fig_scale --bench-json` reports per-run
-/// p95s as `heuristic_p95_us` / `repair_p95_us` via
-/// `Histogram::delta_since` snapshots (the registry is process-cumulative).
+/// Always-on latency histograms for the scale phases: one observation per
+/// SMT partition solve, per shared-table placement pass (`heuristic`), per
+/// SMT repair of what first-fit could not place (`repair` — what
+/// `repaired_apps` counts) and per cross-partition conflict-repair round.
+/// `fig_scale --bench-json` reports per-run p95s as `heuristic_p95_us` /
+/// `repair_p95_us` via `Histogram::delta_since` snapshots (the registry is
+/// process-cumulative).
 ///
-/// Straggler repair (`repair`: heuristic-first re-solving apps the greedy
-/// placement could not fit — what `repaired_apps` counts) and
-/// cross-partition conflict-repair rounds (`conflict_repair`: the joint
-/// re-solve loop that runs under every strategy) are separate histograms:
-/// conflating them made `repair_p95_us` report multi-second conflict
-/// rounds on runs where zero apps were straggler-repaired.
+/// The two repairs are separate histograms: conflating them made
+/// `repair_p95_us` report multi-second conflict rounds on runs where
+/// first-fit had placed every application.
 struct ScaleMetrics {
     partition: Histogram,
     heuristic: Histogram,
@@ -93,8 +86,9 @@ pub struct ScaleConfig {
     pub synthesis: SynthesisConfig,
     /// Upper bound on the number of applications per partition.
     pub target_apps_per_partition: usize,
-    /// Worker threads for the partition phase (`0` = one per available
-    /// core). The result is bit-identical for every thread count.
+    /// Worker threads for the SMT partition solves (`0` = one per available
+    /// core); the heuristic-first placement is one millisecond-scale pass on
+    /// the calling thread. The result is bit-identical for every thread count.
     pub threads: usize,
     /// Upper bound on conflict-repair rounds before giving up (one round is
     /// sufficient when the repair solve succeeds; more rounds only happen
@@ -104,8 +98,8 @@ pub struct ScaleConfig {
     /// monolithic [`Synthesizer`] (slow but complete relative to the
     /// explored space).
     pub fallback_monolithic: bool,
-    /// How each partition is solved (pure SMT, or greedy heuristic with SMT
-    /// repair).
+    /// Whether the partitioned SMT pipeline runs at once, or only if greedy
+    /// placement on one shared occupancy table plus SMT repair has failed.
     pub strategy: SynthesisStrategy,
 }
 
@@ -142,6 +136,8 @@ pub struct PartitionReport {
     pub apps: usize,
     /// Message count, wall-clock solve time and solver counters summed over
     /// the partition's stages (the `stage` index is the partition index).
+    /// Under heuristic-first only the message count is filled: the one
+    /// placement pass is timed as a whole (`partition_wall_time`).
     pub totals: StageReport,
 }
 
@@ -169,22 +165,26 @@ pub struct ScaleReport {
     /// The merged, verified synthesis report. Its `stages` list carries one
     /// [`StageReport`] per partition stage plus one per repair solve.
     pub report: SynthesisReport,
-    /// Per-partition solver statistics (empty when the monolithic fallback
-    /// produced the result).
+    /// Per-partition statistics (empty when the monolithic fallback produced
+    /// the result); under a heuristic-first placement, each partition's
+    /// application and message counts only.
     pub partitions: Vec<PartitionReport>,
-    /// Per-round repair statistics.
+    /// Per-round conflict-repair statistics (none after a heuristic-first
+    /// placement: one shared table leaves no conflicts).
     pub repairs: Vec<RepairReport>,
-    /// Worker threads used by the partition phase.
+    /// Worker threads available to the partition phase.
     pub threads: usize,
     /// Edges of the application contention graph.
     pub contention_edges: usize,
     /// Contention edges crossing partition boundaries.
     pub cut_edges: usize,
-    /// Wall-clock time of the parallel partition phase alone.
+    /// Wall-clock time of the phase that gives every application a schedule:
+    /// the shared-table placement, the parallel partition solves, or both
+    /// after a heuristic-first fallback.
     pub partition_wall_time: Duration,
     /// Whether the result came from the monolithic fallback path.
     pub monolithic_fallback: bool,
-    /// The per-partition strategy this report was produced with.
+    /// The strategy this report was produced with.
     pub strategy: SynthesisStrategy,
     /// Heuristic-first placement statistics (all zero under
     /// [`SynthesisStrategy::SmtOnly`]).
@@ -200,15 +200,16 @@ impl ScaleReport {
 }
 
 /// One partition's solve outcome, produced on a worker thread.
-type PartitionOutcome = Result<
-    (
-        Vec<MessageSchedule>,
-        PartitionReport,
-        Vec<StageReport>,
-        HeuristicCounters,
-    ),
-    SynthesisError,
->;
+type PartitionOutcome =
+    Result<(Vec<MessageSchedule>, PartitionReport, Vec<StageReport>), SynthesisError>;
+
+/// Phase 2's yield: schedules by application, both reports, heuristic stats.
+type Placed = (
+    Vec<Vec<MessageSchedule>>,
+    Vec<PartitionReport>,
+    Vec<StageReport>,
+    HeuristicStats,
+);
 
 /// The partitioned, parallel large-scale synthesizer.
 ///
@@ -217,15 +218,22 @@ type PartitionOutcome = Result<
 /// 1. **Partition** — applications are grouped by contention
 ///    ([`plan_partitions`](crate::plan_partitions)) so that most link
 ///    sharing is intra-partition.
-/// 2. **Parallel solve** — each partition is synthesized independently on a
-///    scoped worker thread with its own warm-started [`Model`]; within a
-///    partition the incremental staging of [`StageEncoder`] applies
-///    unchanged.
+/// 2. **Schedule** — under [`SynthesisStrategy::SmtOnly`] each partition is
+///    synthesized independently on a scoped worker thread with its own
+///    warm-started [`Model`] and the staging of [`StageEncoder`]. Under
+///    [`SynthesisStrategy::HeuristicFirst`] the plan is instead walked once
+///    on the calling thread, each application placed first-fit against
+///    **one** [`OccupancyTable`] shared by the whole problem, and only those
+///    that fit nowhere are re-solved by SMT against everything else pinned.
+///    If that residue is infeasible, the placement is dropped and the
+///    `SmtOnly` solves run after all: heuristic-first solves whatever
+///    SMT-only solves, by construction.
 /// 3. **Conflict repair** — the merged schedule is scanned for
 ///    cross-partition link overlaps; a greedy vertex cover of the conflict
-///    graph is re-solved jointly against the *pinned* reservations of every
-///    other application (the freeze/pin pattern of the online engine), which
+///    graph is re-solved against the *pinned* reservations of every other
+///    application (the freeze/pin pattern of the online engine), which
 ///    resolves all conflicts in one round whenever the re-solve is feasible.
+///    A shared-table placement has no overlaps and passes straight through.
 ///
 /// The merged schedule is always checked by [`verify_schedule`] and the
 /// result is bit-identical for any thread count.
@@ -264,34 +272,46 @@ impl ScaleSynthesizer {
         let plan = plan_partitions(problem, &candidates, self.config.target_apps_per_partition);
         let threads = self.resolve_threads(plan.groups.len());
 
-        // Phase 2: parallel per-partition solves.
+        // Phase 2: the shared-table placement, else (or after it has failed)
+        // parallel per-partition solves.
         let partition_start = Instant::now();
-        let outcomes = self.solve_partitions(problem, &candidates, &messages, &plan, threads);
-        let partition_wall_time = partition_start.elapsed();
-
-        let mut partitions = Vec::with_capacity(plan.groups.len());
-        let mut stage_reports: Vec<StageReport> = Vec::new();
-        let mut by_app: Vec<Vec<MessageSchedule>> = vec![Vec::new(); problem.applications().len()];
-        let mut failure: Option<SynthesisError> = None;
-        let mut heuristic = HeuristicStats::default();
-        for outcome in outcomes {
-            match outcome {
-                Ok((schedules, partition_report, stages, counters)) => {
-                    for s in schedules {
-                        by_app[s.message.app].push(s);
+        let heuristic_first = self.config.strategy == SynthesisStrategy::HeuristicFirst;
+        let placed = heuristic_first
+            .then(|| self.place_on_shared_table(problem, &candidates, &messages, &plan))
+            .flatten();
+        let (mut by_app, partitions, mut stage_reports, heuristic) = match placed {
+            Some(placed) => placed,
+            None => {
+                let outcomes =
+                    self.solve_partitions(problem, &candidates, &messages, &plan, threads);
+                let mut partitions = Vec::with_capacity(plan.groups.len());
+                let mut stage_reports: Vec<StageReport> = Vec::new();
+                let mut by_app = vec![Vec::new(); problem.applications().len()];
+                let mut failure: Option<SynthesisError> = None;
+                for outcome in outcomes {
+                    match outcome {
+                        Ok((schedules, partition_report, stages)) => {
+                            for s in schedules {
+                                by_app[s.message.app].push(s);
+                            }
+                            partitions.push(partition_report);
+                            stage_reports.extend(stages);
+                        }
+                        Err(e) => failure = Some(failure.take().unwrap_or(e)),
                     }
-                    partitions.push(partition_report);
-                    stage_reports.extend(stages);
-                    heuristic.placed_apps += counters.placed;
-                    heuristic.repaired_apps += counters.repaired;
-                    heuristic.fallback_partitions += usize::from(counters.fallback);
                 }
-                Err(e) => failure = Some(failure.take().unwrap_or(e)),
+                if let Some(e) = failure {
+                    let elapsed = partition_start.elapsed();
+                    return self.monolithic_or(problem, start, e, plan, threads, elapsed);
+                }
+                let heuristic = HeuristicStats {
+                    fallback_partitions: if heuristic_first { partitions.len() } else { 0 },
+                    ..HeuristicStats::default()
+                };
+                (by_app, partitions, stage_reports, heuristic)
             }
-        }
-        if let Some(e) = failure {
-            return self.monolithic_or(problem, start, e, plan, threads, partition_wall_time);
-        }
+        };
+        let partition_wall_time = partition_start.elapsed();
 
         // Phase 3: conflict repair. A greedy vertex cover of the conflict
         // graph is repaired one application at a time — each single-app
@@ -319,59 +339,15 @@ impl ScaleSynthesizer {
             let cover = vertex_cover(&conflicts);
             let _round_span = tsn_telemetry::span!("scale.repair_round", round);
             let round_start = Instant::now();
-            let mut round_stage = StageReport::default();
-            let mut resolved_count = 0usize;
-            let mut failed_apps: Vec<usize> = Vec::new();
-            for &app in &cover {
-                match self.repair_solve(problem, &candidates, &messages, &by_app, &[app]) {
-                    Some((schedules, stats, solved_messages)) => {
-                        by_app[app] = schedules;
-                        round_stage.absorb(&StageReport::from_stats(
-                            0,
-                            solved_messages,
-                            Duration::ZERO,
-                            &stats,
-                        ));
-                        resolved_count += 1;
-                    }
-                    None => failed_apps.push(app),
-                }
-            }
-            if !failed_apps.is_empty() {
-                // Joint escalation: the stubborn apps get one shot together
-                // (they can reshuffle each other, which single-app solves
-                // cannot).
-                match self.repair_solve(problem, &candidates, &messages, &by_app, &failed_apps) {
-                    Some((schedules, stats, solved_messages)) => {
-                        for &app in &failed_apps {
-                            by_app[app].clear();
-                        }
-                        for s in schedules {
-                            by_app[s.message.app].push(s);
-                        }
-                        round_stage.absorb(&StageReport::from_stats(
-                            0,
-                            solved_messages,
-                            Duration::ZERO,
-                            &stats,
-                        ));
-                    }
-                    None => {
-                        let e = SynthesisError::Unsatisfiable {
-                            stage: plan.groups.len() + round,
-                            stages: plan.groups.len() + round + 1,
-                        };
-                        return self.monolithic_or(
-                            problem,
-                            start,
-                            e,
-                            plan,
-                            threads,
-                            partition_wall_time,
-                        );
-                    }
-                }
-            }
+            let Some((mut round_stage, escalated_apps)) =
+                self.repair_apps(problem, &candidates, &messages, &mut by_app, &cover)
+            else {
+                let e = SynthesisError::Unsatisfiable {
+                    stage: plan.groups.len() + round,
+                    stages: plan.groups.len() + round + 1,
+                };
+                return self.monolithic_or(problem, start, e, plan, threads, partition_wall_time);
+            };
             round_stage.solve_time = round_start.elapsed();
             scale_metrics()
                 .conflict_repair
@@ -380,8 +356,8 @@ impl ScaleSynthesizer {
                 round,
                 conflicting_apps: conflicting.len(),
                 conflict_pairs: conflicts.len(),
-                resolved_apps: resolved_count,
-                escalated_apps: failed_apps.len(),
+                resolved_apps: cover.len() - escalated_apps,
+                escalated_apps,
                 solve_time: round_stage.solve_time,
             });
             stage_reports.push(round_stage);
@@ -413,6 +389,74 @@ impl ScaleSynthesizer {
             strategy: self.config.strategy,
             heuristic,
         })
+    }
+
+    /// One deterministic first-fit pass over every application, in plan
+    /// order, against a single occupancy table, then an SMT repair of the
+    /// applications the pass could not place. `None` when that residue is
+    /// infeasible against the pinned placement.
+    fn place_on_shared_table(
+        &self,
+        problem: &SynthesisProblem,
+        candidates: &RouteCandidates,
+        messages: &[MessageInstance],
+        plan: &PartitionPlan,
+    ) -> Option<Placed> {
+        let apps = problem.applications().len();
+        let mode = self.config.synthesis.mode;
+        let pass_span = tsn_telemetry::span!("scale.heuristic");
+        let pass_start = Instant::now();
+        let mut instances: Vec<Vec<MessageInstance>> = vec![Vec::new(); apps];
+        for m in messages {
+            instances[m.app].push(*m);
+        }
+        let mut occupancy = OccupancyTable::new();
+        let mut by_app: Vec<Vec<MessageSchedule>> = vec![Vec::new(); apps];
+        let mut residue: Vec<usize> = Vec::new();
+        let mut partitions = Vec::with_capacity(plan.groups.len());
+        for (partition, group) in plan.groups.iter().enumerate() {
+            for &app in group {
+                let of_app = &instances[app];
+                match place_app(problem, candidates, app, of_app, &mut occupancy, mode) {
+                    Some(schedules) => by_app[app] = schedules,
+                    None => residue.push(app),
+                }
+            }
+            partitions.push(PartitionReport {
+                partition,
+                apps: group.len(),
+                totals: StageReport {
+                    stage: partition,
+                    messages: group.iter().map(|&app| instances[app].len()).sum(),
+                    ..StageReport::default()
+                },
+            });
+        }
+        // The pass is reported as one zero-counter stage, so the merged
+        // report still accounts for every message and the placement time.
+        let mut stages = vec![StageReport {
+            messages: by_app.iter().map(Vec::len).sum(),
+            solve_time: pass_start.elapsed(),
+            ..StageReport::default()
+        }];
+        scale_metrics().heuristic.observe(stages[0].solve_time);
+        drop(pass_span);
+        if !residue.is_empty() {
+            residue.sort_unstable();
+            let _span = tsn_telemetry::span!("scale.repair");
+            let repair_start = Instant::now();
+            let (mut stage, _) =
+                self.repair_apps(problem, candidates, messages, &mut by_app, &residue)?;
+            stage.solve_time = repair_start.elapsed();
+            scale_metrics().repair.observe(stage.solve_time);
+            stages.push(stage);
+        }
+        let stats = HeuristicStats {
+            placed_apps: apps - residue.len(),
+            repaired_apps: residue.len(),
+            fallback_partitions: 0,
+        };
+        Some((by_app, partitions, stages, stats))
     }
 
     fn resolve_threads(&self, partitions: usize) -> usize {
@@ -458,13 +502,16 @@ impl ScaleSynthesizer {
                     if idx >= plan.groups.len() {
                         break;
                     }
-                    let outcome = self.solve_one_partition(
+                    let _span = tsn_telemetry::span!("scale.partition", idx);
+                    let timer = Instant::now();
+                    let outcome = self.smt_partition(
                         problem,
                         candidates,
                         idx,
                         &plan.groups[idx],
                         &group_messages[idx],
                     );
+                    scale_metrics().partition.observe(timer.elapsed());
                     slots.lock().expect("no poisoned workers")[idx] = Some(outcome);
                 });
             }
@@ -475,134 +522,6 @@ impl ScaleSynthesizer {
             .into_iter()
             .map(|o| o.expect("every slot filled"))
             .collect()
-    }
-
-    /// Solves one partition according to the configured
-    /// [`SynthesisStrategy`].
-    fn solve_one_partition(
-        &self,
-        problem: &SynthesisProblem,
-        candidates: &RouteCandidates,
-        partition: usize,
-        group: &[usize],
-        msgs: &[MessageInstance],
-    ) -> PartitionOutcome {
-        let _span = tsn_telemetry::span!("scale.partition", partition);
-        let timer = Instant::now();
-        let outcome = match self.config.strategy {
-            SynthesisStrategy::SmtOnly => self
-                .smt_partition(problem, candidates, partition, group, msgs)
-                .map(|(fixed, report, stages)| {
-                    (fixed, report, stages, HeuristicCounters::default())
-                }),
-            SynthesisStrategy::HeuristicFirst => {
-                self.heuristic_partition(problem, candidates, partition, group, msgs)
-            }
-        };
-        scale_metrics().partition.observe(timer.elapsed());
-        outcome
-    }
-
-    /// Solves one partition with the greedy first-fit placer, repairing the
-    /// stragglers with one SMT solve against the pinned placement. A failed
-    /// repair falls back to the whole-partition SMT solve, so heuristic-first
-    /// never loses instances the pure-SMT strategy would solve.
-    fn heuristic_partition(
-        &self,
-        problem: &SynthesisProblem,
-        candidates: &RouteCandidates,
-        partition: usize,
-        group: &[usize],
-        msgs: &[MessageInstance],
-    ) -> PartitionOutcome {
-        let _span = tsn_telemetry::span!("scale.heuristic", partition);
-        let start = Instant::now();
-        let mode = self.config.synthesis.mode;
-        let mut occupancy = OccupancyTable::new();
-        let mut placed: Vec<MessageSchedule> = Vec::with_capacity(msgs.len());
-        let mut unplaced: Vec<usize> = Vec::new();
-        for &app in group {
-            let instances: Vec<MessageInstance> =
-                msgs.iter().filter(|m| m.app == app).copied().collect();
-            match place_app(problem, candidates, app, &instances, &mut occupancy, mode) {
-                Some(schedules) => placed.extend(schedules),
-                None => unplaced.push(app),
-            }
-        }
-        let mut stages = Vec::new();
-        // The heuristic pass is reported as a zero-counter stage, so the
-        // merged report still accounts for every message and the placement
-        // wall time.
-        stages.push(StageReport {
-            stage: 0,
-            messages: placed.len(),
-            solve_time: start.elapsed(),
-            ..StageReport::default()
-        });
-        scale_metrics().heuristic.observe(start.elapsed());
-        let mut counters = HeuristicCounters {
-            placed: group.len() - unplaced.len(),
-            repaired: 0,
-            fallback: false,
-        };
-        if !unplaced.is_empty() {
-            let current: Vec<MessageInstance> = msgs
-                .iter()
-                .filter(|m| unplaced.binary_search(&m.app).is_ok())
-                .copied()
-                .collect();
-            let repair_span = tsn_telemetry::span!("scale.repair", partition);
-            let repair_start = Instant::now();
-            let mut encoder = StageEncoder::new(problem, candidates, &self.config.synthesis);
-            encoder.encode(&current, &placed);
-            let (outcome, stats) = encoder.solve(&current);
-            scale_metrics().repair.observe(repair_start.elapsed());
-            drop(repair_span);
-            match outcome {
-                StageOutcome::Solved(schedules) => {
-                    counters.repaired = unplaced.len();
-                    stages.push(StageReport::from_stats(
-                        0,
-                        current.len(),
-                        repair_start.elapsed(),
-                        &stats,
-                    ));
-                    placed.extend(schedules);
-                }
-                StageOutcome::Unsatisfiable | StageOutcome::ResourceLimit => {
-                    // The pinned heuristic placement may itself be what makes
-                    // the repair infeasible: retry the partition from scratch
-                    // with the pure-SMT path before giving up.
-                    counters = HeuristicCounters {
-                        placed: 0,
-                        repaired: 0,
-                        fallback: true,
-                    };
-                    return self
-                        .smt_partition(problem, candidates, partition, group, msgs)
-                        .map(|(fixed, report, stages)| (fixed, report, stages, counters));
-                }
-            }
-        }
-        let mut totals = StageReport {
-            stage: partition,
-            ..StageReport::default()
-        };
-        for stage in &stages {
-            totals.absorb(stage);
-        }
-        totals.messages = msgs.len();
-        totals.solve_time = start.elapsed();
-        Ok((
-            placed,
-            PartitionReport {
-                partition,
-                apps: group.len(),
-                totals,
-            },
-            stages,
-            counters,
-        ))
     }
 
     /// Solves one partition: its messages are staged over the hyper-period
@@ -616,7 +535,7 @@ impl ScaleSynthesizer {
         partition: usize,
         group: &[usize],
         msgs: &[MessageInstance],
-    ) -> Result<(Vec<MessageSchedule>, PartitionReport, Vec<StageReport>), SynthesisError> {
+    ) -> PartitionOutcome {
         let start = Instant::now();
         let stage_count = self.config.synthesis.stages.max(1);
         let slices = partition_into_stages(msgs, problem.hyperperiod(), stage_count);
@@ -674,9 +593,48 @@ impl ScaleSynthesizer {
         ))
     }
 
+    /// Re-solves `apps` (sorted) one at a time, each against the pinned
+    /// schedules of every other application, then jointly those whose own
+    /// re-solve failed: together they can reshuffle each other, which
+    /// single-application solves cannot. Updates `by_app` and returns the
+    /// summed solver statistics and the number of escalated applications;
+    /// `None` when the joint escalation fails too.
+    fn repair_apps(
+        &self,
+        problem: &SynthesisProblem,
+        candidates: &RouteCandidates,
+        messages: &[MessageInstance],
+        by_app: &mut [Vec<MessageSchedule>],
+        apps: &[usize],
+    ) -> Option<(StageReport, usize)> {
+        let mut total = StageReport::default();
+        let mut failed_apps: Vec<usize> = Vec::new();
+        for &app in apps {
+            match self.repair_solve(problem, candidates, messages, by_app, &[app]) {
+                Some((schedules, stage)) => {
+                    by_app[app] = schedules;
+                    total.absorb(&stage);
+                }
+                None => failed_apps.push(app),
+            }
+        }
+        if !failed_apps.is_empty() {
+            let (schedules, stage) =
+                self.repair_solve(problem, candidates, messages, by_app, &failed_apps)?;
+            for &app in &failed_apps {
+                by_app[app].clear();
+            }
+            for s in schedules {
+                by_app[s.message.app].push(s);
+            }
+            total.absorb(&stage);
+        }
+        Some((total, failed_apps.len()))
+    }
+
     /// Re-solves all messages of `apps` (sorted) jointly against the pinned
     /// reservations of every other application. Returns the schedules (in
-    /// message order), the solver statistics and the batch size; `None` when
+    /// message order) and the solver statistics of the batch; `None` when
     /// the re-solve is unsatisfiable or hits its resource limit.
     fn repair_solve(
         &self,
@@ -685,7 +643,7 @@ impl ScaleSynthesizer {
         messages: &[MessageInstance],
         by_app: &[Vec<MessageSchedule>],
         apps: &[usize],
-    ) -> Option<(Vec<MessageSchedule>, tsn_smt::SolverStats, usize)> {
+    ) -> Option<(Vec<MessageSchedule>, StageReport)> {
         let current: Vec<MessageInstance> = messages
             .iter()
             .filter(|m| apps.binary_search(&m.app).is_ok())
@@ -701,7 +659,10 @@ impl ScaleSynthesizer {
         encoder.encode(&current, &fixed);
         let (outcome, stats) = encoder.solve(&current);
         match outcome {
-            StageOutcome::Solved(schedules) => Some((schedules, stats, current.len())),
+            StageOutcome::Solved(schedules) => {
+                let stage = StageReport::from_stats(0, current.len(), Duration::ZERO, &stats);
+                Some((schedules, stage))
+            }
             StageOutcome::Unsatisfiable | StageOutcome::ResourceLimit => None,
         }
     }
@@ -789,22 +750,27 @@ fn conflicting_apps(pairs: &[(usize, usize)]) -> Vec<usize> {
 /// applications pairwise conflict-free, so one feasible joint re-solve of
 /// the cover repairs every conflict.
 fn vertex_cover(pairs: &[(usize, usize)]) -> Vec<usize> {
-    let mut remaining: Vec<(usize, usize)> = pairs.to_vec();
+    let apps = pairs.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
+    let mut neighbours: Vec<Vec<usize>> = vec![Vec::new(); apps];
+    for &(a, b) in pairs {
+        neighbours[a].push(b);
+        neighbours[b].push(a);
+    }
+    // Uncovered edges per application, kept current as the cover grows.
+    let mut degree: Vec<usize> = neighbours.iter().map(Vec::len).collect();
     let mut cover = Vec::new();
-    while !remaining.is_empty() {
-        let mut degree: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        for &(a, b) in &remaining {
-            *degree.entry(a).or_default() += 1;
-            *degree.entry(b).or_default() += 1;
-        }
-        let best = degree
-            .iter()
-            .max_by_key(|(app, d)| (**d, std::cmp::Reverse(**app)))
-            .map(|(app, _)| *app)
-            .expect("non-empty remaining set");
+    while let Some(best) = (0..apps)
+        .filter(|&app| degree[app] > 0)
+        .max_by_key(|&app| (degree[app], std::cmp::Reverse(app)))
+    {
         cover.push(best);
-        remaining.retain(|&(a, b)| a != best && b != best);
+        degree[best] = 0;
+        for &other in &neighbours[best] {
+            // A zero degree marks a cover member: its edges are gone.
+            if degree[other] > 0 {
+                degree[other] -= 1;
+            }
+        }
     }
     cover.sort_unstable();
     cover
@@ -826,6 +792,60 @@ mod tests {
         }
         assert!(cover.len() <= 4, "greedy cover too large: {cover:?}");
         assert_eq!(cover, vertex_cover(&pairs), "cover is deterministic");
+    }
+
+    /// `vertex_cover` as it was before it kept degrees incrementally: the
+    /// degrees of all remaining pairs are recounted for every pick.
+    fn vertex_cover_reference(pairs: &[(usize, usize)]) -> Vec<usize> {
+        let mut remaining: Vec<(usize, usize)> = pairs.to_vec();
+        let mut cover = Vec::new();
+        while !remaining.is_empty() {
+            let mut degree: std::collections::BTreeMap<usize, usize> =
+                std::collections::BTreeMap::new();
+            for &(a, b) in &remaining {
+                *degree.entry(a).or_default() += 1;
+                *degree.entry(b).or_default() += 1;
+            }
+            let best = degree
+                .iter()
+                .max_by_key(|(app, d)| (**d, std::cmp::Reverse(**app)))
+                .map(|(app, _)| *app)
+                .expect("non-empty remaining set");
+            cover.push(best);
+            remaining.retain(|&(a, b)| a != best && b != best);
+        }
+        cover.sort_unstable();
+        cover
+    }
+
+    #[test]
+    fn incremental_vertex_cover_equals_the_recounting_one_on_random_graphs() {
+        // SMT-only re-solves exactly the cover: its counters move with it.
+        // 300 xorshift-drawn graphs, sparse to dense, with repeated pairs.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        assert!(vertex_cover(&[]).is_empty());
+        for graph in 0..300 {
+            let apps = 2 + next(60);
+            let edges = 1 + next(apps * (1 + graph % 6));
+            let pairs: Vec<(usize, usize)> = (0..edges)
+                .map(|_| {
+                    let a = next(apps);
+                    let b = (a + 1 + next(apps - 1)) % apps;
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            assert_eq!(
+                vertex_cover(&pairs),
+                vertex_cover_reference(&pairs),
+                "graph {graph}: {pairs:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,19 @@
-//! Greedy first-fit route + offset placement: the cheap half of the
-//! [`SynthesisStrategy::HeuristicFirst`](crate::SynthesisStrategy) partition
-//! solve.
+//! Greedy first-fit route + offset placement: the fast path of
+//! [`SynthesisStrategy::HeuristicFirst`](crate::SynthesisStrategy).
 //!
-//! Following the divide-and-conquer regime of *"Just a Second"*
-//! (arXiv:2306.07710), most applications of a partition can be placed by a
-//! trivial deterministic heuristic, leaving the SMT solver to repair only
-//! the stragglers. The placer assigns every application one candidate route
-//! and one *per-hop offset vector* applied identically to all of its
-//! instances:
+//! Following *"Just a Second"* (arXiv:2306.07710), which schedules thousands
+//! of streams per second by greedy placement against one global conflict
+//! structure, every application of the problem is placed against **one**
+//! [`OccupancyTable`]: the single source of truth for which link is busy
+//! when. An application is placed only where the table is free, so two
+//! placed applications never collide and nothing has to be repaired after
+//! the fact; the SMT solver sees only the applications first-fit cannot
+//! place at all. A table per partition would place as fast and then pay
+//! seconds of SMT conflict repair at the merge for collisions a shared
+//! table never creates.
+//!
+//! The placer assigns every application one candidate route and one
+//! *per-hop offset vector* applied identically to all of its instances:
 //!
 //! * the first hop is pinned at the release time (the verifier's Eq. 6
 //!   contract), so the offset of hop 0 is always zero;
@@ -32,7 +38,7 @@ use tsn_synthesis::{
 };
 
 /// Per-link sorted, pairwise-disjoint occupancy intervals `[start, end)`
-/// accumulated by the greedy placer.
+/// accumulated by the greedy placer: one table for the whole problem.
 #[derive(Debug, Default)]
 pub struct OccupancyTable {
     per_link: HashMap<LinkId, Vec<(Time, Time)>>,
@@ -60,11 +66,17 @@ impl OccupancyTable {
 
     /// Reserves `[start, end)` on `link`. The caller must have checked the
     /// interval is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is not: [`blocked_until`](Self::blocked_until) is only
+    /// right while the intervals of a link stay pairwise disjoint.
     pub fn reserve(&mut self, link: LinkId, start: Time, end: Time) {
         let intervals = self.per_link.entry(link).or_default();
         let idx = intervals.partition_point(|&(s, _)| s < start);
-        debug_assert!(
-            idx == intervals.len() || intervals[idx].0 >= end,
+        assert!(
+            intervals.get(idx).is_none_or(|&(next, _)| next >= end)
+                && (idx == 0 || intervals[idx - 1].1 <= start),
             "reserving an occupied interval"
         );
         intervals.insert(idx, (start, end));
@@ -203,6 +215,18 @@ mod tests {
         assert_eq!(occ.blocked_until(link, us(200), us(300)), None);
         assert_eq!(occ.blocked_until(link, us(390), us(450)), Some(us(400)));
         assert_eq!(occ.blocked_until(link, us(400), us(500)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserving an occupied interval")]
+    fn reserving_into_the_tail_of_the_previous_interval_panics() {
+        // [150, 250) ends before [300, 400) but starts inside [100, 200):
+        // only the check against the previous interval catches it.
+        let (us, link) = (Time::from_micros, LinkId::new(0));
+        let mut occ = OccupancyTable::new();
+        occ.reserve(link, us(100), us(200));
+        occ.reserve(link, us(300), us(400));
+        occ.reserve(link, us(150), us(250));
     }
 
     #[test]

@@ -13,21 +13,21 @@
 //! 1. **Partition** ([`plan_partitions`]): a contention graph over the
 //!    candidate routes groups applications that can share links, so almost
 //!    all contention is *intra*-partition.
-//! 2. **Parallel solve** ([`ScaleSynthesizer`]): every partition is
-//!    synthesized independently on a scoped worker thread, each with its own
-//!    warm-started [`tsn_smt::Model`] and incremental
-//!    [`tsn_synthesis::StageEncoder`] staging.
+//! 2. **Schedule** ([`ScaleSynthesizer`]): every partition is synthesized
+//!    independently on a scoped worker thread, each with its own
+//!    warm-started [`tsn_smt::Model`] — or, heuristic-first, every
+//!    application is placed greedily against one occupancy table shared by
+//!    the whole problem ([`heuristic`]) and SMT only repairs what does not
+//!    fit, with the partitioned SMT solve as the fallback.
 //! 3. **Conflict repair**: the merged schedule is scanned for
 //!    cross-partition link overlaps; a greedy vertex cover of the conflict
-//!    graph is re-solved jointly against the pinned reservations of every
-//!    other application — the freeze/pin pattern of `tsn_online`, applied
-//!    offline. One feasible cover re-solve repairs every conflict.
+//!    graph is re-solved against the pinned reservations of every other
+//!    application — the freeze/pin pattern of `tsn_online`, applied offline.
 //!
 //! The merged schedule is always re-checked by
 //! [`tsn_synthesis::verify_schedule`], and the result is **bit-identical for
-//! every thread count**: partitioning, per-partition solving and repair are
-//! all deterministic, and parallelism only changes *when* each partition is
-//! solved, never *what* it produces.
+//! every thread count**: every step is deterministic, and parallelism only
+//! changes *when* a partition is solved, never *what* it produces.
 //!
 //! # Example
 //!
