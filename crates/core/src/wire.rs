@@ -240,17 +240,6 @@ pub fn stage_report_to_json(s: &StageReport) -> Json {
 ///
 /// Returns a [`JsonError`] describing the first malformed member.
 pub fn stage_report_from_json(json: &Json) -> Result<StageReport, JsonError> {
-    // Counters introduced after the first wire revision default to zero when
-    // absent, so reports persisted by older builds still decode.
-    let optional_u64 = |key: &str| -> Result<u64, JsonError> {
-        match json.get(key) {
-            None | Some(Json::Null) => Ok(0),
-            Some(value) => value
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| bad(format!("{key} is not a non-negative integer"))),
-        }
-    };
     Ok(StageReport {
         stage: get_usize(json, "stage")?,
         messages: get_usize(json, "messages")?,
@@ -260,9 +249,11 @@ pub fn stage_report_from_json(json: &Json) -> Result<StageReport, JsonError> {
         propagations: get_u64(json, "propagations")?,
         theory_checks: get_u64(json, "theory_checks")?,
         restarts: get_u64(json, "restarts")?,
-        theory_scratch_reuses: optional_u64("theory_scratch_reuses")?,
-        deleted_clauses: optional_u64("deleted_clauses")?,
-        peak_live_clauses: optional_u64("peak_live_clauses")?,
+        // Counters introduced after the first wire revision default to zero
+        // when absent, so reports persisted by older builds still decode.
+        theory_scratch_reuses: json.opt_u64("theory_scratch_reuses")?.unwrap_or(0),
+        deleted_clauses: json.opt_u64("deleted_clauses")?.unwrap_or(0),
+        peak_live_clauses: json.opt_u64("peak_live_clauses")?.unwrap_or(0),
     })
 }
 
@@ -480,24 +471,13 @@ pub fn config_to_json(config: &SynthesisConfig) -> Json {
 pub fn config_from_json(json: &Json) -> Result<SynthesisConfig, JsonError> {
     // Optional members may be `null` or absent (the two wire layers agree:
     // the service envelopes treat them identically).
-    let optional = |key: &str| -> Option<&Json> {
-        match json.get(key) {
-            None | Some(Json::Null) => None,
-            value => value,
-        }
-    };
     Ok(SynthesisConfig {
         route_strategy: route_strategy_from_json(json.field("route_strategy")?)?,
         stages: get_usize(json, "stages")?,
         mode: mode_from_json(json.field("mode")?)?,
-        max_conflicts_per_stage: optional("max_conflicts_per_stage")
-            .map(|v| {
-                v.as_i64()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| bad("max_conflicts_per_stage is not a non-negative integer"))
-            })
-            .transpose()?,
-        timeout_per_stage: optional("timeout_per_stage")
+        max_conflicts_per_stage: json.opt_u64("max_conflicts_per_stage")?,
+        timeout_per_stage: json
+            .opt("timeout_per_stage")
             .map(duration_from_json)
             .transpose()?,
         verify: get_bool(json, "verify")?,

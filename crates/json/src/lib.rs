@@ -1,23 +1,31 @@
-//! A minimal self-contained JSON value type with a printer and a parser.
+//! The workspace's one JSON stack: a value type, a printer, a depth-capped
+//! parser and the string escaper — no dependencies, below every other crate.
 //!
 //! The build container has no registry access, so the workspace cannot pull
 //! `serde_json` (the vendored `serde` is a no-op marker crate, see
 //! `vendor/README.md`). Reports, schedules and online event traces are the
-//! cross-process interface for future sharding, and the figure binaries emit
-//! machine-readable sweeps — both need an actual wire format. This module is
-//! that format: a small JSON document model with explicit `Int`/`Float`
+//! cross-process interface of the daemon and the router, the figure binaries
+//! emit machine-readable sweeps, and `tsn_telemetry` writes its structured
+//! log and chrome traces — all of them need an actual wire format. This crate
+//! is that format: a small JSON document model with explicit `Int`/`Float`
 //! variants so nanosecond timestamps round-trip exactly (an `f64` mantissa
 //! would silently truncate them past 2^53).
 //!
-//! Higher layers implement `to_json`/`from_json` pairs on top of this (see
-//! `tsn_synthesis::wire` and `tsn_online::wire`); when real `serde` becomes
-//! available the `#[derive(Serialize, Deserialize)]` markers on the same
-//! types take over and this module remains as the dependency-free fallback.
+//! It sits at the bottom of the workspace so that `tsn_telemetry` (below
+//! everything else) and `tsn_net` (which re-exports it as `tsn_net::json`,
+//! the path every wire module imports it by) share one parser, one printer
+//! and one escaper. Higher layers implement `to_json`/`from_json` pairs on
+//! top of it (see `tsn_synthesis::wire`, `tsn_online::wire` and
+//! `tsn_telemetry::log`).
+//!
+//! The parser reads bytes that arrive from the network, so its recursion is
+//! bounded: a document nested deeper than [`MAX_DEPTH`] is a typed
+//! [`JsonErrorKind::TooDeep`] error, never a stack overflow.
 //!
 //! # Example
 //!
 //! ```
-//! use tsn_net::json::Json;
+//! use tsn_json::Json;
 //!
 //! let doc = Json::obj([
 //!     ("name", Json::from("fig_online")),
@@ -29,6 +37,9 @@
 //! assert_eq!(doc, back);
 //! assert_eq!(back.get("events").and_then(Json::as_i64), Some(42));
 //! ```
+
+#![warn(missing_docs)]
+#![warn(missing_debug_implementations)]
 
 use std::fmt;
 
@@ -52,12 +63,37 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A parse failure: what went wrong and the byte offset it happened at.
+/// The deepest container nesting [`Json::parse`] accepts. The deepest
+/// document the workspace itself emits (a `migrate_in` envelope carrying a
+/// session snapshot) nests 9 containers — `wire_malformed.rs` holds every
+/// specimen under half of this — so the cap costs no real document anything
+/// while keeping the parser's recursion within a few kilobytes of stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// The class of a [`JsonError`], for callers that map it onto their own
+/// error type without matching on the message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// A well-formed document is followed by further characters.
+    Trailing,
+    /// Containers are nested deeper than [`MAX_DEPTH`].
+    TooDeep,
+    /// The text parsed, but a `from_json` decoder rejected the document
+    /// (a missing member, a wrong type, an out-of-range value).
+    Decode,
+}
+
+/// A parse or decode failure: its class, what went wrong and the byte offset
+/// it happened at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
+    /// The class of the failure.
+    pub kind: JsonErrorKind,
     /// Description of the failure.
     pub what: String,
-    /// Byte offset into the input.
+    /// Byte offset into the input (0 for decode errors).
     pub at: usize,
 }
 
@@ -72,6 +108,7 @@ impl std::error::Error for JsonError {}
 /// Builds a decoder error (shared by every `from_json` in the workspace).
 pub fn bad(what: impl Into<String>) -> JsonError {
     JsonError {
+        kind: JsonErrorKind::Decode,
         what: what.into(),
         at: 0,
     }
@@ -205,10 +242,33 @@ impl Json {
     /// Like [`get`](Json::get) but returns an error naming the missing key,
     /// for use in `from_json` decoders.
     pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key).ok_or_else(|| JsonError {
-            what: format!("missing object member {key:?}"),
-            at: 0,
-        })
+        self.get(key)
+            .ok_or_else(|| bad(format!("missing object member {key:?}")))
+    }
+
+    /// The value of an optional object member: `None` when the member is
+    /// absent or `null` (the two spell "not given" identically on the wire).
+    pub fn opt(&self, key: &str) -> Option<&Json> {
+        self.get(key).filter(|value| **value != Json::Null)
+    }
+
+    /// An optional integer member (see [`opt`](Json::opt)).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the member is present but not an integer.
+    pub fn opt_i64(&self, key: &str) -> Result<Option<i64>, JsonError> {
+        self.opt(key).map(|_| get_i64(self, key)).transpose()
+    }
+
+    /// An optional non-negative integer member (see [`opt`](Json::opt)).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the member is present but not a
+    /// non-negative integer.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, JsonError> {
+        self.opt(key).map(|_| get_u64(self, key)).transpose()
     }
 
     /// The integer value, if this is an `Int` (floats are not coerced).
@@ -256,14 +316,16 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem;
+    /// nesting past [`MAX_DEPTH`] is [`JsonErrorKind::TooDeep`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
+                kind: JsonErrorKind::Trailing,
                 what: "trailing characters after the document".to_string(),
                 at: pos,
             });
@@ -293,7 +355,7 @@ impl fmt::Display for Json {
                     write!(f, "null")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => write_json_escaped(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -310,7 +372,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write_escaped(f, k)?;
+                    write_json_escaped(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
@@ -351,7 +413,7 @@ pub fn write_json_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
 /// # Example
 ///
 /// ```
-/// use tsn_net::json::json_escape;
+/// use tsn_json::json_escape;
 ///
 /// assert_eq!(json_escape("a\"b\\c\nd\u{1}"), r#""a\"b\\c\nd\u0001""#);
 /// ```
@@ -359,10 +421,6 @@ pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     write_json_escaped(&mut out, s).expect("writing to a String cannot fail");
     out
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write_json_escaped(f, s)
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -373,6 +431,7 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 
 fn error(what: impl Into<String>, at: usize) -> JsonError {
     JsonError {
+        kind: JsonErrorKind::Syntax,
         what: what.into(),
         at,
     }
@@ -387,10 +446,17 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` is the number of containers already open
+/// around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error("unexpected end of input", *pos)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(JsonError {
+            kind: JsonErrorKind::TooDeep,
+            what: format!("nesting deeper than {MAX_DEPTH} containers"),
+            at: *pos,
+        }),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -404,7 +470,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -429,7 +495,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -646,6 +712,64 @@ mod tests {
             assert!(!err.what.is_empty(), "input {bad:?}");
         }
         assert!(Json::parse("99999999999999999999999").is_err());
+    }
+
+    #[test]
+    fn errors_are_classified() {
+        for (text, kind) in [
+            ("", JsonErrorKind::Syntax),
+            ("[1,", JsonErrorKind::Syntax),
+            ("{\"a\" 1}", JsonErrorKind::Syntax),
+            ("1 2", JsonErrorKind::Trailing),
+            ("{} x", JsonErrorKind::Trailing),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().kind, kind, "{text:?}");
+        }
+        let doc = Json::parse("{}").unwrap();
+        assert_eq!(doc.field("a").unwrap_err().kind, JsonErrorKind::Decode);
+        assert_eq!(get_i64(&doc, "a").unwrap_err().kind, JsonErrorKind::Decode);
+        assert_eq!(bad("x").kind, JsonErrorKind::Decode);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed() {
+        // Exactly MAX_DEPTH containers parse; one more is a typed error at
+        // the offending bracket, for arrays, objects and mixtures of both.
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            format!("{{\"a\":{}}}", arrays(MAX_DEPTH)),
+        ] {
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{text}");
+            assert!(matches!(text.as_bytes()[err.at], b'[' | b'{'));
+        }
+        // Unclosed bombs far past any thread's stack are the same error.
+        for bomb in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert_eq!(Json::parse(&bomb).unwrap_err().kind, JsonErrorKind::TooDeep);
+        }
+    }
+
+    #[test]
+    fn optional_members_are_absent_or_null() {
+        let doc = Json::parse(r#"{"n": 7, "z": null, "s": "x", "neg": -1}"#).unwrap();
+        assert_eq!(doc.opt("n"), Some(&Json::Int(7)));
+        assert_eq!(doc.opt("z"), None);
+        assert_eq!(doc.opt("absent"), None);
+        assert_eq!(doc.opt_i64("n"), Ok(Some(7)));
+        assert_eq!(doc.opt_i64("z"), Ok(None));
+        assert_eq!(doc.opt_i64("absent"), Ok(None));
+        assert_eq!(doc.opt_i64("neg"), Ok(Some(-1)));
+        assert_eq!(doc.opt_u64("n"), Ok(Some(7)));
+        assert_eq!(doc.opt_u64("absent"), Ok(None));
+        assert!(doc.opt_i64("s").is_err());
+        assert!(doc.opt_u64("s").is_err());
+        assert!(doc.opt_u64("neg").is_err());
+        assert_eq!(Json::Int(1).opt("n"), None);
     }
 
     #[test]

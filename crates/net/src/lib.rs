@@ -40,7 +40,6 @@ pub mod builders;
 mod error;
 pub mod framing;
 mod id;
-pub mod json;
 mod link;
 mod node;
 mod paths;
@@ -57,3 +56,6 @@ pub use node::{Node, NodeKind};
 pub use route::Route;
 pub use time::Time;
 pub use topology::Topology;
+/// The workspace JSON stack, re-exported under the path every wire module
+/// imports it by (it lives in `tsn_json`, below `tsn_telemetry`).
+pub use tsn_json as json;

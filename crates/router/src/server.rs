@@ -27,7 +27,7 @@ use tsn_net::json::Json;
 use tsn_net::poll::{Completions, ConnId, LineHandler, LineOutcome, PlaneConfig};
 use tsn_service::dispatch::{Dispatcher, Job};
 use tsn_service::fnv1a64;
-use tsn_service::protocol::Response;
+use tsn_service::protocol::{envelope_ids, Response};
 use tsn_telemetry::log;
 
 use crate::ring::Ring;
@@ -234,11 +234,11 @@ impl Router {
             Ok(doc) => doc,
             Err(_) => {
                 let shard = self.route_keyless(None, line);
-                return self.forward(shard, line, started);
+                return self.forward(shard, line, (None, None), started);
             }
         };
-        let id = doc.get("id").and_then(Json::as_i64).unwrap_or(0);
-        let trace = doc.get("trace").and_then(Json::as_i64);
+        let ids = envelope_ids(&doc);
+        let (id, trace) = (ids.0.unwrap_or(0), ids.1);
         let request = doc.get("request");
         let rtype = request.and_then(|r| r.get("type")).and_then(Json::as_str);
         let tenant = request.and_then(|r| r.get("tenant")).and_then(Json::as_str);
@@ -279,7 +279,7 @@ impl Router {
                     Some(t) => self.route_tenant(t),
                     None => self.route_keyless(request, line),
                 };
-                let response = self.forward(shard, line, started);
+                let response = self.forward(shard, line, ids, started);
                 if let (Some(rtype), Some(tenant)) = (rtype, tenant) {
                     self.note_tenant_lifecycle(rtype, tenant, shard, &response);
                 }
@@ -342,8 +342,14 @@ impl Router {
     /// Forwards one line to a shard and returns the shard's response
     /// line. Unreachable shards answer with a router-built error envelope
     /// (the one case where the router writes a response for a forwarded
-    /// request).
-    fn forward(&self, shard: usize, line: &str, started: Instant) -> String {
+    /// request) echoing `ids`, the line's [`envelope_ids`].
+    fn forward(
+        &self,
+        shard: usize,
+        line: &str,
+        (id, trace): (Option<i64>, Option<i64>),
+        started: Instant,
+    ) -> String {
         self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
         match self.round_trip_shard(shard, line) {
             Ok(response) => response,
@@ -354,17 +360,7 @@ impl Router {
                     "shard round trip failed",
                     &[("shard", shard.into()), ("error", e.as_str().into())],
                 );
-                let doc = Json::parse(line.trim()).ok();
-                let id = doc
-                    .as_ref()
-                    .and_then(|d| d.get("id"))
-                    .and_then(Json::as_i64)
-                    .unwrap_or(0);
-                let trace = doc
-                    .as_ref()
-                    .and_then(|d| d.get("trace"))
-                    .and_then(Json::as_i64);
-                self.local(id, trace, started, Err(e))
+                self.local(id.unwrap_or(0), trace, started, Err(e))
             }
         }
     }
@@ -861,17 +857,12 @@ impl LineHandler for RouterHandler<'_, '_> {
             // The pool only drains after the event loop exits, so this is
             // a cannot-happen guard; answer rather than drop the line.
             drop(job);
-            let doc = Json::parse(line.trim()).ok();
+            let (id, trace) = Json::parse(line.trim())
+                .map(|doc| envelope_ids(&doc))
+                .unwrap_or_default();
             let refused = Response {
-                id: doc
-                    .as_ref()
-                    .and_then(|d| d.get("id"))
-                    .and_then(Json::as_i64)
-                    .unwrap_or(0),
-                trace: doc
-                    .as_ref()
-                    .and_then(|d| d.get("trace"))
-                    .and_then(Json::as_i64),
+                id: id.unwrap_or(0),
+                trace,
                 cached: false,
                 elapsed_us: 0,
                 retry_after_ms: None,

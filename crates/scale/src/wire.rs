@@ -173,14 +173,12 @@ pub fn scale_report_from_json(json: &Json) -> Result<ScaleReport, JsonError> {
         monolithic_fallback: get_bool(json, "monolithic_fallback")?,
         // Members introduced after the first wire revision default when
         // absent, so reports persisted by older builds still decode.
-        strategy: match json.get("strategy") {
-            None | Some(Json::Null) => SynthesisStrategy::SmtOnly,
-            Some(value) => strategy_from_json(value)?,
-        },
-        heuristic: match json.get("heuristic") {
-            None | Some(Json::Null) => HeuristicStats::default(),
-            Some(value) => heuristic_stats_from_json(value)?,
-        },
+        strategy: json
+            .opt("strategy")
+            .map_or(Ok(SynthesisStrategy::SmtOnly), strategy_from_json)?,
+        heuristic: json
+            .opt("heuristic")
+            .map_or_else(|| Ok(HeuristicStats::default()), heuristic_stats_from_json)?,
     })
 }
 

@@ -99,7 +99,7 @@
 
 use std::time::Duration;
 
-use tsn_net::json::{bad, get_i64, get_str, Json, JsonError};
+use tsn_net::json::{bad, get_bool, get_i64, get_str, Json, JsonError};
 use tsn_net::wire::{time_from_json, time_to_json, topology_from_json, topology_to_json};
 use tsn_net::{Time, Topology};
 use tsn_online::wire::{
@@ -346,18 +346,13 @@ impl RequestBody {
     /// Returns a [`JsonError`] for unknown request types or malformed
     /// members.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let optional = |key: &str| -> Option<&Json> {
-            match json.get(key) {
-                None | Some(Json::Null) => None,
-                Some(value) => Some(value),
-            }
-        };
         match get_str(json, "type")? {
             "ping" => Ok(RequestBody::Ping),
             "synthesize" => Ok(RequestBody::Synthesize {
                 problem: problem_from_json(json.field("problem")?)?,
-                config: optional("config").map(config_from_json).transpose()?,
-                backend: optional("backend")
+                config: json.opt("config").map(config_from_json).transpose()?,
+                backend: json
+                    .opt("backend")
                     .map(|v| {
                         v.as_str()
                             .ok_or_else(|| bad("backend is not a string"))
@@ -370,7 +365,8 @@ impl RequestBody {
                 tenant: get_str(json, "tenant")?.to_string(),
                 topology: topology_from_json(json.field("topology")?)?,
                 forwarding_delay: time_from_json(json.field("forwarding_delay")?)?,
-                config: optional("config")
+                config: json
+                    .opt("config")
                     .map(online_config_from_json)
                     .transpose()?,
             }),
@@ -443,7 +439,7 @@ impl Request {
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
         Ok(Request {
             id: get_i64(json, "id")?,
-            trace: decode_trace(json)?,
+            trace: json.opt_i64("trace")?,
             body: RequestBody::from_json(json.field("request")?)?,
         })
     }
@@ -458,16 +454,13 @@ impl Request {
     }
 }
 
-/// Decodes the optional envelope `trace` member (absent or `null` = none;
-/// anything present must be an integer).
-fn decode_trace(json: &Json) -> Result<Option<i64>, JsonError> {
-    match json.get("trace") {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => value
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| bad("member \"trace\" is not an integer")),
-    }
+/// Best-effort `(id, trace)` of an envelope that parsed as JSON but may not
+/// decode as a [`Request`] — what an error response echoes so the client can
+/// still correlate it. Either is `None` when absent or not an integer; each
+/// server substitutes its own default id.
+pub fn envelope_ids(doc: &Json) -> (Option<i64>, Option<i64>) {
+    let member = |key| doc.get(key).and_then(Json::as_i64);
+    (member("id"), member("trace"))
 }
 
 /// One response envelope.
@@ -533,13 +526,10 @@ impl Response {
         };
         Ok(Response {
             id: get_i64(json, "id")?,
-            trace: decode_trace(json)?,
-            cached: json
-                .field("cached")?
-                .as_bool()
-                .ok_or_else(|| bad("member \"cached\" is not a boolean"))?,
+            trace: json.opt_i64("trace")?,
+            cached: get_bool(json, "cached")?,
             elapsed_us: get_i64(json, "elapsed_us")?,
-            retry_after_ms: decode_retry_after(json)?,
+            retry_after_ms: json.opt_i64("retry_after_ms")?,
             outcome,
         })
     }
@@ -551,18 +541,6 @@ impl Response {
     /// Returns a [`JsonError`] for text that is not a valid envelope.
     pub fn parse_line(line: &str) -> Result<Self, JsonError> {
         Response::from_json(&Json::parse(line.trim())?)
-    }
-}
-
-/// Decodes the optional `retry_after_ms` member (absent or `null` = none;
-/// anything present must be an integer).
-fn decode_retry_after(json: &Json) -> Result<Option<i64>, JsonError> {
-    match json.get("retry_after_ms") {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => value
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| bad("member \"retry_after_ms\" is not an integer")),
     }
 }
 
@@ -642,38 +620,6 @@ pub fn tenant_state_json(tenant: &str, engine: &OnlineEngine) -> Json {
         ("hyperperiod", time_to_json(engine.hyperperiod())),
         ("report", report),
     ])
-}
-
-/// One structured-log event as a `health` payload `recent_log` entry
-/// (same member schema as the JSONL line format of
-/// [`tsn_telemetry::log::LogEvent::to_line`]; non-finite float fields map
-/// to `null`, mirroring that format).
-pub fn log_event_to_json(event: &tsn_telemetry::log::LogEvent) -> Json {
-    use tsn_telemetry::log::Value;
-    let mut pairs = vec![
-        ("ts_ns".to_string(), Json::Int(event.ts_ns as i64)),
-        ("level".to_string(), Json::from(event.level.as_str())),
-        ("target".to_string(), Json::from(event.target.as_str())),
-        ("msg".to_string(), Json::from(event.message.as_str())),
-    ];
-    if !event.fields.is_empty() {
-        let fields = event
-            .fields
-            .iter()
-            .map(|(key, value)| {
-                let json = match value {
-                    Value::Bool(b) => Json::Bool(*b),
-                    Value::Int(n) => Json::Int(*n),
-                    Value::Float(f) if f.is_finite() => Json::Float(*f),
-                    Value::Float(_) => Json::Null,
-                    Value::Str(s) => Json::from(s.as_str()),
-                };
-                (key.clone(), json)
-            })
-            .collect();
-        pairs.push(("fields".to_string(), Json::Obj(fields)));
-    }
-    Json::Obj(pairs)
 }
 
 #[cfg(test)]
@@ -854,16 +800,17 @@ mod tests {
                 ("tenant".to_string(), Value::Str("plant \"A\"".to_string())),
                 ("attempt".to_string(), Value::Int(2)),
                 ("fatal".to_string(), Value::Bool(false)),
+                ("ratio".to_string(), Value::Float(2.0)),
             ],
         };
         // The health-payload encoding and the JSONL sink format are the
         // same document.
-        assert_eq!(log_event_to_json(&event).to_string(), event.to_line());
+        assert_eq!(event.to_json().to_string(), event.to_line());
         let bare = LogEvent {
             fields: Vec::new(),
             ..event
         };
-        assert_eq!(log_event_to_json(&bare).to_string(), bare.to_line());
+        assert_eq!(bare.to_json().to_string(), bare.to_line());
     }
 
     #[test]

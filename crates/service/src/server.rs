@@ -35,7 +35,7 @@ use tsn_net::poll::{Completions, ConnId, LineHandler, LineOutcome, PlaneConfig};
 
 use crate::dispatch::Dispatcher;
 use crate::protocol::{
-    batch_result_json, event_result_json, log_event_to_json, shed_response, tenant_state_json,
+    batch_result_json, envelope_ids, event_result_json, shed_response, tenant_state_json,
     zeroed_report, Backend, Request, RequestBody, Response,
 };
 use crate::ResultCache;
@@ -354,36 +354,41 @@ impl Service {
     /// the request id when one could be extracted.
     pub fn handle_line(&self, line: &str) -> String {
         let start_ns = self.now_ns();
-        match Request::parse_line(line) {
+        match self.decode_line(line, start_ns) {
             Ok(request) => self.respond(&request, start_ns).to_line(),
-            Err(e) => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                service_metrics().requests.inc();
-                log::warn(
-                    "service.request",
-                    "malformed request line",
-                    &[("reason", e.to_string().into())],
-                );
-                // Best effort: echo the id if the envelope got that far.
-                let doc = Json::parse(line.trim()).ok();
-                let id = doc
-                    .as_ref()
-                    .and_then(|d| d.get("id").and_then(Json::as_i64))
-                    .unwrap_or(-1);
-                Response {
-                    id,
-                    trace: doc
-                        .as_ref()
-                        .and_then(|d| d.get("trace").and_then(Json::as_i64)),
-                    cached: false,
-                    elapsed_us: self.elapsed_us(start_ns),
-                    retry_after_ms: None,
-                    outcome: Err(format!("malformed request: {e}")),
-                }
-                .to_line()
-            }
+            Err(response) => response,
         }
+    }
+
+    /// Decodes one wire line, parsing its text exactly once. A line that is
+    /// not a request is counted, logged and answered here: the `Err` is the
+    /// complete `malformed request` response line, echoing the envelope's
+    /// `id` and `trace` if the text got as far as being JSON.
+    fn decode_line(&self, line: &str, start_ns: u64) -> Result<Request, String> {
+        let (e, (id, trace)) = match Json::parse(line.trim()) {
+            Err(e) => (e, (None, None)),
+            Ok(doc) => match Request::from_json(&doc) {
+                Ok(request) => return Ok(request),
+                Err(e) => (e, envelope_ids(&doc)),
+            },
+        };
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        service_metrics().requests.inc();
+        log::warn(
+            "service.request",
+            "malformed request line",
+            &[("reason", e.to_string().into())],
+        );
+        let response = Response {
+            id: id.unwrap_or(-1),
+            trace,
+            cached: false,
+            elapsed_us: self.elapsed_us(start_ns),
+            retry_after_ms: None,
+            outcome: Err(format!("malformed request: {e}")),
+        };
+        Err(response.to_line())
     }
 
     /// Executes one parsed request. `start_ns` is a [`Service::now_ns`]
@@ -747,7 +752,7 @@ impl Service {
                     log::logger()
                         .recent(HEALTH_LOG_TAIL)
                         .iter()
-                        .map(log_event_to_json)
+                        .map(log::LogEvent::to_json)
                         .collect(),
                 );
                 let uptime_us = i64::try_from(self.clock.since_ns(self.started_ns).as_micros())
@@ -1069,11 +1074,11 @@ impl LineHandler for ServiceHandler<'_, '_> {
         if line.trim().is_empty() {
             return LineOutcome::Ignore;
         }
-        let request = match Request::parse_line(line) {
+        let request = match self.service.decode_line(line, self.service.now_ns()) {
             Ok(request) => request,
             // Malformed lines answer immediately (no pool round-trip),
             // still in order.
-            Err(_) => return LineOutcome::Respond(self.service.handle_line(line)),
+            Err(response) => return LineOutcome::Respond(response),
         };
         // Load shedding: once the pool queue is past the watermark, new
         // synthesize work — the throughput class — is rejected with a

@@ -194,6 +194,33 @@ fn oversized_line_answers_a_typed_error_then_closes() {
 }
 
 #[test]
+fn depth_bomb_line_answers_one_typed_error_and_the_connection_lives() {
+    let daemon = start_daemon(ServiceConfig::default());
+    let mut client = Client::connect(daemon.addr);
+
+    // 1 MiB of open brackets: well under the frame cap, so it reaches the
+    // parser — which must refuse it at its depth cap instead of recursing
+    // the event-loop thread off its stack and taking the process with it.
+    let mut bomb = "[".repeat(1 << 20);
+    bomb.push('\n');
+    client.writer.write_all(bomb.as_bytes()).expect("send bomb");
+    let response = client.recv();
+    assert_eq!(response.id, -1, "no id can be read from a bomb");
+    let message = response.outcome.expect_err("a bomb is not a request");
+    assert!(
+        message.starts_with("malformed request") && message.contains("nesting"),
+        "typed too-deep diagnostic expected: {message}"
+    );
+
+    // Exactly one response, and the same connection keeps working.
+    let pong = client.round_trip(&ping(2));
+    assert_eq!(pong.id, 2);
+    assert!(pong.outcome.is_ok());
+    drop(client);
+    shutdown_daemon(daemon);
+}
+
+#[test]
 fn stalled_reader_mid_burst_does_not_block_other_clients() {
     let daemon = start_daemon(ServiceConfig::default());
 

@@ -1,4 +1,4 @@
-//! Zero-dependency observability for the TSN synthesis stack: an atomic
+//! Observability for the TSN synthesis stack: an atomic
 //! metrics registry with dimensional (labeled) series, a structured JSONL
 //! diagnostic [`log`], a span/flight-recorder API with chrome-trace
 //! export, and a pluggable [`Clock`] for deterministic tests.
@@ -15,8 +15,10 @@
 //!
 //! # Design constraints
 //!
-//! * **No dependencies.** This crate sits below everything else, including
-//!   vendored stand-ins; it hand-renders its two text formats.
+//! * **One dependency.** This crate sits below everything else, vendored
+//!   stand-ins included, except `tsn_json` — the workspace's one JSON stack,
+//!   itself dependency-free — through which the log and the chrome trace
+//!   are written and read. The Prometheus exposition is hand-rendered.
 //! * **Free when off.** Span recording is gated on a single relaxed atomic
 //!   load ([`enabled`], default off). Metric handles are plain atomics that
 //!   call sites keep around, so always-on counters cost one `fetch_add`.

@@ -10,11 +10,13 @@
 //! [`RING_CAPACITY`] events that the daemon's `health` request exposes as
 //! a recent-log tail.
 //!
-//! The module is deliberately self-contained — `tsn_telemetry` sits below
-//! every other crate, so [`LogEvent::to_line`] and
-//! [`LogEvent::parse_line`] carry their own small JSON writer/parser
-//! (depth-limited, allocation-bounded, returning typed
-//! [`LogParseError`]s, never panicking on garbage).
+//! Lines are written and read through the workspace's one JSON stack,
+//! [`tsn_json`]: [`LogEvent::to_json`] / [`LogEvent::from_json`] are the
+//! codec, [`LogEvent::to_line`] prints the document and
+//! [`LogEvent::parse_line`] parses it back (depth-capped, returning typed
+//! [`LogParseError`]s, never panicking on garbage) — so the `--log-out`
+//! file, the `health` tail and every other wire document agree on number
+//! and string syntax by construction.
 //!
 //! Determinism: with a frozen [`crate::ManualClock`] installed via
 //! [`Logger::set_clock`], `to_line` output is byte-stable, which is what
@@ -26,14 +28,12 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use tsn_json::{Json, JsonError, JsonErrorKind};
+
 use crate::clock::{Clock, MonotonicClock};
 
 /// Capacity of the in-memory ring of recent events.
 pub const RING_CAPACITY: usize = 256;
-
-/// Maximum nesting depth [`LogEvent::parse_line`] accepts before bailing
-/// with [`LogParseError::TooDeep`].
-const MAX_PARSE_DEPTH: usize = 16;
 
 /// Event severity, ordered from chattiest to most severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -154,59 +154,53 @@ impl LogEvent {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Renders the event as one JSONL line (no trailing newline):
+    /// The event as a JSON document:
     /// `{"ts_ns":N,"level":"...","target":"...","msg":"...","fields":{...}}`
-    /// with `fields` omitted when empty. Float fields render via Rust's
-    /// shortest round-trip formatting; non-finite floats render as `null`
-    /// (JSON has no NaN) and parse back as [`Value::Float`] NaN.
-    pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(64 + self.message.len());
-        out.push_str("{\"ts_ns\":");
-        out.push_str(&self.ts_ns.to_string());
-        out.push_str(",\"level\":\"");
-        out.push_str(self.level.as_str());
-        out.push_str("\",\"target\":");
-        write_json_string(&mut out, &self.target);
-        out.push_str(",\"msg\":");
-        write_json_string(&mut out, &self.message);
+    /// with `fields` omitted when empty. Non-finite float fields encode as
+    /// `null` (JSON has no NaN) and decode back as [`Value::Float`] NaN.
+    /// This is both the JSONL line format and the daemon's `health`
+    /// `recent_log` entry.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            (
+                "ts_ns".to_string(),
+                Json::Int(i64::try_from(self.ts_ns).unwrap_or(i64::MAX)),
+            ),
+            ("level".to_string(), Json::from(self.level.as_str())),
+            ("target".to_string(), Json::from(self.target.as_str())),
+            ("msg".to_string(), Json::from(self.message.as_str())),
+        ];
         if !self.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (key, value)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(&mut out, key);
-                out.push(':');
-                match value {
-                    Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                    Value::Int(n) => out.push_str(&n.to_string()),
-                    Value::Float(f) if f.is_finite() => out.push_str(&f.to_string()),
-                    Value::Float(_) => out.push_str("null"),
-                    Value::Str(s) => write_json_string(&mut out, s),
-                }
-            }
-            out.push('}');
+            let fields = self
+                .fields
+                .iter()
+                .map(|(key, value)| {
+                    let json = match value {
+                        Value::Bool(b) => Json::Bool(*b),
+                        Value::Int(n) => Json::Int(*n),
+                        Value::Float(f) if f.is_finite() => Json::Float(*f),
+                        Value::Float(_) => Json::Null,
+                        Value::Str(s) => Json::from(s.as_str()),
+                    };
+                    (key.clone(), json)
+                })
+                .collect();
+            pairs.push(("fields".to_string(), Json::Obj(fields)));
         }
-        out.push('}');
-        out
+        Json::Obj(pairs)
     }
 
-    /// Parses a line produced by [`LogEvent::to_line`] (or by any other
-    /// JSONL logger with the same four required keys). Unknown extra keys
-    /// are ignored; `fields` may be absent. Never panics on garbage —
-    /// every malformed input maps to a typed [`LogParseError`].
-    pub fn parse_line(line: &str) -> Result<LogEvent, LogParseError> {
-        let mut parser = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.parse_value(0)?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(LogParseError::TrailingGarbage);
-        }
-        let Json::Obj(pairs) = value else {
+    /// Renders the event as one JSONL line (no trailing newline): the
+    /// [`to_json`](LogEvent::to_json) document, printed.
+    pub fn to_line(&self) -> String {
+        self.to_json().to_string()
+    }
+
+    /// Decodes a document produced by [`LogEvent::to_json`] (or by any
+    /// other JSONL logger with the same four required keys). Unknown extra
+    /// keys are ignored; `fields` may be absent.
+    pub fn from_json(json: &Json) -> Result<LogEvent, LogParseError> {
+        let Json::Obj(pairs) = json else {
             return Err(LogParseError::NotAnObject);
         };
         let mut ts_ns = None;
@@ -216,27 +210,29 @@ impl LogEvent {
         let mut fields = Vec::new();
         for (key, value) in pairs {
             match (key.as_str(), value) {
-                ("ts_ns", Json::Int(n)) if n >= 0 => ts_ns = Some(n as u64),
+                ("ts_ns", Json::Int(n)) if *n >= 0 => ts_ns = Some(*n as u64),
                 ("ts_ns", _) => return Err(LogParseError::WrongType("ts_ns")),
                 ("level", Json::Str(s)) => {
-                    level = Some(Level::parse(&s).ok_or(LogParseError::UnknownLevel(s))?);
+                    level = Some(
+                        Level::parse(s).ok_or_else(|| LogParseError::UnknownLevel(s.clone()))?,
+                    );
                 }
                 ("level", _) => return Err(LogParseError::WrongType("level")),
-                ("target", Json::Str(s)) => target = Some(s),
+                ("target", Json::Str(s)) => target = Some(s.clone()),
                 ("target", _) => return Err(LogParseError::WrongType("target")),
-                ("msg", Json::Str(s)) => message = Some(s),
+                ("msg", Json::Str(s)) => message = Some(s.clone()),
                 ("msg", _) => return Err(LogParseError::WrongType("msg")),
                 ("fields", Json::Obj(pairs)) => {
                     for (key, value) in pairs {
                         let value = match value {
-                            Json::Bool(b) => Value::Bool(b),
-                            Json::Int(n) => Value::Int(n),
-                            Json::Float(f) => Value::Float(f),
+                            Json::Bool(b) => Value::Bool(*b),
+                            Json::Int(n) => Value::Int(*n),
+                            Json::Float(f) => Value::Float(*f),
                             Json::Null => Value::Float(f64::NAN),
-                            Json::Str(s) => Value::Str(s),
+                            Json::Str(s) => Value::Str(s.clone()),
                             _ => return Err(LogParseError::WrongType("fields")),
                         };
-                        fields.push((key, value));
+                        fields.push((key.clone(), value));
                     }
                 }
                 ("fields", _) => return Err(LogParseError::WrongType("fields")),
@@ -250,6 +246,12 @@ impl LogEvent {
             message: message.ok_or(LogParseError::MissingKey("msg"))?,
             fields,
         })
+    }
+
+    /// Parses a line produced by [`LogEvent::to_line`]. Never panics on
+    /// garbage — every malformed input maps to a typed [`LogParseError`].
+    pub fn parse_line(line: &str) -> Result<LogEvent, LogParseError> {
+        LogEvent::from_json(&Json::parse(line)?)
     }
 }
 
@@ -288,246 +290,12 @@ impl fmt::Display for LogParseError {
 
 impl std::error::Error for LogParseError {}
 
-/// Writes `s` as a JSON string literal (quotes, control-character escapes).
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The minimal JSON value tree the log parser produces internally.
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    /// Arrays are syntax-validated but carry no payload: no log key
-    /// accepts one, so the contents would never be read.
-    Arr,
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn syntax(&self) -> LogParseError {
-        LogParseError::Syntax(self.pos)
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), LogParseError> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.syntax())
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Json, LogParseError> {
-        if depth > MAX_PARSE_DEPTH {
-            return Err(LogParseError::TooDeep);
-        }
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(depth),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Json::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.syntax()),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, LogParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.syntax())
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, LogParseError> {
-        let start = self.pos;
-        let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| LogParseError::Syntax(start))?;
-        if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| LogParseError::Syntax(start))
-        } else {
-            // Integral syntax that overflows i64 still parses, as a float.
-            text.parse::<i64>().map(Json::Int).or_else(|_| {
-                text.parse::<f64>()
-                    .map(Json::Float)
-                    .map_err(|_| LogParseError::Syntax(start))
-            })
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, LogParseError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.syntax()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let code = self.parse_hex4()?;
-                            // Surrogate pairs are decoded when complete;
-                            // a lone surrogate becomes U+FFFD.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                self.parse_low_surrogate(code)
-                            } else {
-                                char::from_u32(code).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.syntax()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| self.syntax())?;
-                    let c = rest.chars().next().ok_or_else(|| self.syntax())?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.syntax());
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, LogParseError> {
-        let end = self.pos.checked_add(4).ok_or_else(|| self.syntax())?;
-        let hex = self.bytes.get(self.pos..end).ok_or_else(|| self.syntax())?;
-        let text = std::str::from_utf8(hex).map_err(|_| self.syntax())?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| self.syntax())?;
-        // Leave pos at the last hex digit; parse_string's shared `pos += 1`
-        // does not run for \u (it `continue`s), so consume all four here.
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn parse_low_surrogate(&mut self, high: u32) -> char {
-        if self.bytes[self.pos..].starts_with(b"\\u") {
-            let saved = self.pos;
-            self.pos += 2;
-            if let Ok(low) = self.parse_hex4() {
-                if (0xDC00..0xE000).contains(&low) {
-                    let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
-                    return char::from_u32(code).unwrap_or('\u{FFFD}');
-                }
-            }
-            self.pos = saved;
-        }
-        '\u{FFFD}'
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Json, LogParseError> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr);
-        }
-        loop {
-            self.parse_value(depth + 1)?;
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr);
-                }
-                _ => return Err(self.syntax()),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Json, LogParseError> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.parse_value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.syntax()),
-            }
+impl From<JsonError> for LogParseError {
+    fn from(e: JsonError) -> LogParseError {
+        match e.kind {
+            JsonErrorKind::Trailing => LogParseError::TrailingGarbage,
+            JsonErrorKind::TooDeep => LogParseError::TooDeep,
+            JsonErrorKind::Syntax | JsonErrorKind::Decode => LogParseError::Syntax(e.at),
         }
     }
 }
@@ -761,6 +529,28 @@ mod tests {
     }
 
     #[test]
+    fn numbers_keep_their_kind_across_the_line_format() {
+        // A whole-valued float used to print as `2` and read back as
+        // `Value::Int(2)`; the line format is now the shared printer's.
+        let event = LogEvent {
+            ts_ns: u64::MAX >> 1,
+            level: Level::Debug,
+            target: "t".to_string(),
+            message: "m".to_string(),
+            fields: vec![
+                ("two".to_string(), Value::Float(2.0)),
+                ("negative_zero".to_string(), Value::Float(-0.0)),
+                ("huge".to_string(), Value::Float(1e300)),
+                ("min".to_string(), Value::Int(i64::MIN)),
+            ],
+        };
+        let line = event.to_line();
+        assert_eq!(LogEvent::parse_line(&line).unwrap(), event, "{line}");
+        assert_eq!(event.to_json().to_string(), line);
+        assert_eq!(LogEvent::from_json(&event.to_json()).unwrap(), event);
+    }
+
+    #[test]
     fn level_threshold_filters_and_ring_keeps_the_tail() {
         let logger = Logger::new();
         logger.set_clock(Arc::new(ManualClock::new()));
@@ -828,7 +618,8 @@ mod tests {
             Err(E::MissingKey("msg"))
         );
         // Depth bombs bail instead of recursing unboundedly.
-        let bomb = format!("{}1{}", "[".repeat(64), "]".repeat(64));
+        let deep = tsn_json::MAX_DEPTH + 1;
+        let bomb = format!("{}1{}", "[".repeat(deep), "]".repeat(deep));
         assert_eq!(LogEvent::parse_line(&bomb), Err(E::TooDeep));
         // Extra keys are tolerated; \u escapes decode.
         let parsed = LogEvent::parse_line(

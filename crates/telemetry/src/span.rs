@@ -292,17 +292,6 @@ pub fn snapshot() -> Vec<SpanEvent> {
     events
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the flight recorder as a chrome-trace JSON document: complete
 /// (`"ph":"X"`) events with microsecond `ts`/`dur`, loadable directly in
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -312,10 +301,11 @@ pub fn chrome_trace() -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        escape_json(event.name, &mut out);
+        out.push_str("{\"name\":");
+        tsn_json::write_json_escaped(&mut out, event.name)
+            .expect("writing to a String cannot fail");
         out.push_str(&format!(
-            "\",\"cat\":\"tsn\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
+            ",\"cat\":\"tsn\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
             event.tid,
             event.start_ns as f64 / 1e3,
             event.dur_ns as f64 / 1e3,
@@ -394,12 +384,5 @@ mod tests {
         assert_eq!(out.len(), RING_CAPACITY);
         // The oldest 10 spans were overwritten.
         assert!(out.iter().all(|e| e.start_ns >= 10));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\u000ad");
     }
 }

@@ -281,12 +281,7 @@ fn specimens() -> Vec<(&'static str, String)> {
                     ("queue_depth", Json::Int(0)),
                     ("requests", Json::Int(3)),
                     ("errors", Json::Int(1)),
-                    (
-                        "recent_log",
-                        Json::Arr(vec![tsn_service::protocol::log_event_to_json(
-                            &log_specimen(),
-                        )]),
-                    ),
+                    ("recent_log", Json::Arr(vec![log_specimen().to_json()])),
                 ])),
             }
             .to_line(),
@@ -698,14 +693,69 @@ fn garbled_structured_log_lines_never_panic() {
     }
 }
 
+/// Container nesting of a document (a scalar is 0, `[]` is 1).
+fn nesting(doc: &Json) -> usize {
+    match doc {
+        Json::Arr(items) => 1 + items.iter().map(nesting).max().unwrap_or(0),
+        Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| nesting(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
 #[test]
 fn every_specimen_round_trips_before_corruption() {
     // Sanity: the corpus is built from valid lines (otherwise the fuzzing
-    // above would be vacuous).
+    // above would be vacuous) — and every document the workspace emits
+    // sits in the lower half of the parser's depth budget.
     for (kind, line) in specimens() {
+        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{kind}: not valid JSON: {e}"));
+        let depth = nesting(&doc);
         assert!(
-            Json::parse(&line).is_ok(),
-            "{kind}: specimen is not valid JSON"
+            depth <= tsn_net::json::MAX_DEPTH / 2,
+            "{kind}: specimen nests {depth} deep"
         );
+    }
+}
+
+#[test]
+fn depth_bombs_are_typed_errors_not_stack_overflows() {
+    // One 100 KB line of open brackets used to recurse the parser off the
+    // end of the thread's stack and abort the process. Every line-level
+    // entry point must answer with its typed too-deep error instead.
+    use tsn_net::json::JsonErrorKind;
+    use tsn_telemetry::log::{LogEvent, LogParseError};
+    const N: usize = 100_000;
+    let bombs = [
+        "[".repeat(N),
+        "{\"a\":".repeat(N),
+        format!(
+            r#"{{"id": 7, "trace": 3, "request": {{"type": "event", "tenant": "t", "event": {}{}}}}}"#,
+            "[".repeat(N),
+            "]".repeat(N)
+        ),
+    ];
+    for bomb in &bombs {
+        let head = &bomb[..40];
+        assert_eq!(
+            Json::parse(bomb).unwrap_err().kind,
+            JsonErrorKind::TooDeep,
+            "{head}"
+        );
+        assert_eq!(
+            Request::parse_line(bomb).unwrap_err().kind,
+            JsonErrorKind::TooDeep,
+            "{head}"
+        );
+        assert_eq!(
+            Response::parse_line(bomb).unwrap_err().kind,
+            JsonErrorKind::TooDeep,
+            "{head}"
+        );
+        assert_eq!(
+            LogEvent::parse_line(bomb),
+            Err(LogParseError::TooDeep),
+            "{head}"
+        );
+        assert_eq!(decode_everything(bomb), 0, "{head}");
     }
 }
