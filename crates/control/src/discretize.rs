@@ -14,15 +14,13 @@
 //! `Phi = e^{A h}`, `Gamma0 = int_0^{h-r} e^{A s} ds B` and
 //! `Gamma1 = int_{h-r}^{h} e^{A s} ds B`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ControlError;
 use crate::linalg::{expm_with_integral, Matrix};
 use crate::plant::Plant;
 
 /// The zero-order-hold discretization of a plant for one sampling period
 /// under a constant input delay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DelayedDiscretization {
     /// State transition matrix `Phi = e^{A h}`.
     pub phi: Matrix,
@@ -102,7 +100,7 @@ pub fn discretize_with_delay(
 /// delay (as long as `d` covers it), so that closed-loop matrices built for
 /// *different* delays within an analysis interval all share the same state
 /// dimension and can be compared by a common Lyapunov certificate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AugmentedSystem {
     /// The augmented state-transition matrix.
     pub a: Matrix,

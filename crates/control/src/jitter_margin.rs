@@ -21,8 +21,6 @@
 //! configuration, but may be conservative. This matches the role the Jitter
 //! Margin toolbox plays in the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::discretize::{augmented_system, required_stored_inputs};
 use crate::error::ControlError;
 use crate::linalg::{is_schur_stable, switched_system_stable, Matrix};
@@ -30,7 +28,7 @@ use crate::lqr::{ControllerWeights, SampledController};
 use crate::plant::Plant;
 
 /// Options controlling the jitter-margin stability analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterAnalysisOptions {
     /// The constant delay assumed when designing the LQR controller, in
     /// seconds.
@@ -226,7 +224,7 @@ impl ClosedLoopModel {
 
 /// One point of a stability curve: the largest certified jitter at a given
 /// latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// The constant part of the delay, in seconds.
     pub latency: f64,
@@ -237,14 +235,14 @@ pub struct CurvePoint {
 /// The stability curve of a control application (the green curve of the
 /// paper's Figure 3): for every latency, the maximum tolerable response-time
 /// jitter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilityCurve {
     points: Vec<CurvePoint>,
     period: f64,
 }
 
 /// Options for stability-curve generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurveOptions {
     /// Spacing of the latency grid, as a fraction of the sampling period.
     pub latency_step_fraction: f64,
@@ -350,7 +348,7 @@ impl StabilityCurve {
 
 /// One segment of the piecewise-linear stability lower bound: the constraint
 /// `L + alpha * J <= beta` valid while `L <= latency_limit`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StabilitySegment {
     /// Jitter weight `alpha_j >= 0` of this segment.
     pub alpha: f64,
@@ -377,7 +375,7 @@ pub struct StabilitySegment {
 /// let margin = bound.stability_margin(0.004_81, 0.015_10);
 /// assert!(margin < 0.0, "the deadline-only schedule of Table I is unstable");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinearBound {
     segments: Vec<StabilitySegment>,
 }

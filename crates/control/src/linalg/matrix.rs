@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f64`.
 ///
 /// # Example
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c, a);
 /// assert_eq!(c[(0, 1)], 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,8 +7,6 @@
 //! standard open substitute and produces closed loops with the same
 //! delay/jitter sensitivity structure).
 
-use serde::{Deserialize, Serialize};
-
 use crate::discretize::{augmented_system, AugmentedSystem};
 use crate::error::ControlError;
 use crate::linalg::{solve, Matrix};
@@ -16,7 +14,7 @@ use crate::plant::Plant;
 
 /// The result of an LQR design: the state-feedback gain and the Riccati
 /// solution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LqrDesign {
     /// The feedback gain `K`; the control law is `u(k) = -K z(k)`.
     pub gain: Matrix,
@@ -106,7 +104,7 @@ pub fn dlqr(a: &Matrix, b: &Matrix, q: &Matrix, r: &Matrix) -> Result<LqrDesign,
 }
 
 /// Weights used when designing the controller of a control application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerWeights {
     /// Weight on the plant state (applied as `q * C' C + small * I`).
     pub state_weight: f64,
@@ -128,7 +126,7 @@ impl Default for ControllerWeights {
 
 /// A sampled-data state-feedback controller for a plant, designed on the
 /// delay-augmented model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SampledController {
     /// The feedback gain over the augmented state
     /// `[x; u(k-1); ...; u(k-d)]`.

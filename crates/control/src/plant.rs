@@ -6,8 +6,6 @@
 //! Wittenmark. This module provides those plants plus a constructor for
 //! arbitrary state-space models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ControlError;
 use crate::linalg::{expm, spectral_radius, Matrix};
 
@@ -27,7 +25,7 @@ use crate::linalg::{expm, spectral_radius, Matrix};
 /// let pendulum = Plant::inverted_pendulum();
 /// assert!(pendulum.is_open_loop_unstable());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plant {
     name: String,
     a: Matrix,

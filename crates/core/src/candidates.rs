@@ -1,13 +1,12 @@
 //! Message-instance expansion and candidate-route generation.
 
-use serde::{Deserialize, Serialize};
 use tsn_net::{Route, Time};
 
 use crate::{RouteStrategy, SynthesisError, SynthesisProblem};
 
 /// One message instance `m_{i,j}`: the `j`-th message of application `i`
 /// inside the hyper-period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageInstance {
     /// Index of the application in [`SynthesisProblem::applications`].
     pub app: usize,

@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use tsn_net::Time;
 
 /// How candidate routes are generated for each control application.
@@ -11,7 +10,7 @@ use tsn_net::Time;
 /// The paper's basic formulation considers *all* possible routes; the *route
 /// subset* heuristic (Section V-C1) restricts each application to its first
 /// `K` shortest routes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteStrategy {
     /// The first `k` shortest routes per application (the route-subset
     /// heuristic with designer-provided `K`).
@@ -32,7 +31,7 @@ impl Default for RouteStrategy {
 }
 
 /// Which timing constraints the synthesis imposes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConstraintMode {
     /// The paper's contribution: every application must satisfy its
     /// worst-case stability condition (Eq. 2/3/10), encoded over a latency
@@ -57,7 +56,7 @@ impl Default for ConstraintMode {
 }
 
 /// Full configuration of one synthesis run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisConfig {
     /// Candidate-route generation strategy.
     pub route_strategy: RouteStrategy,

@@ -1,6 +1,5 @@
 //! The synthesis problem: control applications over a TSN network.
 
-use serde::{Deserialize, Serialize};
 use tsn_control::PiecewiseLinearBound;
 use tsn_net::{NodeId, NodeKind, Time, Topology};
 
@@ -9,7 +8,7 @@ use crate::SynthesisError;
 /// One control application `Lambda_i`: a sensor `S_i` periodically samples a
 /// plant and sends a message over the network to its controller `C_i`
 /// (Section II-C of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ControlApplication {
     /// Human-readable name.
     pub name: String,
@@ -69,7 +68,7 @@ impl ControlApplication {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisProblem {
     topology: Topology,
     forwarding_delay: Time,

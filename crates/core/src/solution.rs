@@ -3,13 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tsn_net::{LinkId, NodeId, Route, Time, Topology};
 
 use crate::{MessageInstance, SynthesisProblem};
 
 /// The synthesized route and schedule of one message instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MessageSchedule {
     /// Which message this schedules.
     pub message: MessageInstance,
@@ -27,7 +26,7 @@ pub struct MessageSchedule {
 
 /// Latency, jitter and worst-case end-to-end delay of one application, as
 /// reported in the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppMetrics {
     /// The constant part of the delay: `L_i = min_j e2e_{i,j}` (Eq. 9).
     pub latency: Time,
@@ -39,7 +38,7 @@ pub struct AppMetrics {
 
 /// One entry of a switch's forwarding table: message `m_{i,j}` arriving at
 /// this switch leaves through `output_port` (the variable `eta_ijk`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForwardingEntry {
     /// Application index.
     pub app: usize,
@@ -51,7 +50,7 @@ pub struct ForwardingEntry {
 
 /// One entry of a switch's gate-control list: message `m_{i,j}` is released
 /// on `port` at `release` (the variable `gamma_ijk`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateControlEntry {
     /// Application index.
     pub app: usize,
@@ -66,7 +65,7 @@ pub struct GateControlEntry {
 /// The configuration stored in one switch: its forwarding table and its
 /// gate-control list, which is exactly the pair of design-time outputs
 /// (`eta_ijk`, `gamma_ijk`) the paper's Section III asks for.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SwitchConfig {
     /// The switch this configuration belongs to.
     pub switch: NodeId,
@@ -77,7 +76,7 @@ pub struct SwitchConfig {
 }
 
 /// A complete synthesized schedule for one hyper-period.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// The hyper-period the schedule repeats with.
     pub hyperperiod: Time,

@@ -3,7 +3,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use tsn_net::Time;
 
 use crate::encoding::{StageEncoder, StageOutcome};
@@ -13,7 +12,7 @@ use crate::{
 };
 
 /// Statistics of one incremental-synthesis stage.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StageReport {
     /// Stage index (0-based).
     pub stage: usize,
@@ -33,13 +32,10 @@ pub struct StageReport {
     /// Solver restarts in this stage.
     pub restarts: u64,
     /// Theory repairs that reused the solver's persistent scratch arenas.
-    #[serde(default)]
     pub theory_scratch_reuses: u64,
     /// Learned clauses deleted by clause-DB reduction in this stage.
-    #[serde(default)]
     pub deleted_clauses: u64,
     /// High-water mark of live clauses over the stage's solve calls.
-    #[serde(default)]
     pub peak_live_clauses: u64,
 }
 
@@ -87,7 +83,7 @@ impl StageReport {
 }
 
 /// The result of a successful synthesis run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisReport {
     /// The synthesized schedule (routes `eta_ijk` and release times
     /// `gamma_ijk` for every message instance).

@@ -3,21 +3,18 @@
 //!
 //! Reports and schedules are the cross-process interface of the workspace —
 //! bench binaries emit them, future sharded deployments will ship them
-//! between processes. The vendored `serde` is a no-op marker crate (no
-//! registry access, see `vendor/README.md`), so this module provides explicit
-//! `to_json`/`from_json` pairs over [`tsn_net::json::Json`]; the
-//! `#[derive(Serialize, Deserialize)]` markers on the same types remain in
-//! place for the day the real crates can be swapped back in.
+//! between processes. This module is their only serialization: explicit
+//! `to_json`/`from_json` pairs over [`tsn_net::json::Json`].
 //!
 //! All times are encoded as exact integer nanoseconds; durations as
 //! `{secs, nanos}` integer pairs. Every encoder/decoder pair round-trips
-//! bit-exactly, which the serde round-trip tests assert.
+//! bit-exactly, which the round-trip tests below assert.
 
 use std::time::Duration;
 
 use tsn_control::{PiecewiseLinearBound, StabilitySegment};
 use tsn_net::json::{Json, JsonError};
-use tsn_net::wire::{time_from_json, time_to_json};
+use tsn_net::wire::{delay_from_json, time_from_json, time_to_json};
 use tsn_net::{LinkId, NodeId, Route, Time};
 
 use crate::{
@@ -511,12 +508,12 @@ pub fn problem_to_json(problem: &SynthesisProblem) -> Json {
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] for malformed members, an invalid topology, or
-/// an application the topology rejects (unknown endpoints, wrong node
+/// Returns a [`JsonError`] for malformed members, a negative forwarding
+/// delay, an invalid topology, or an application the topology rejects (unknown endpoints, wrong node
 /// kinds, non-positive period, empty frame).
 pub fn problem_from_json(json: &Json) -> Result<SynthesisProblem, JsonError> {
     let topology = tsn_net::wire::topology_from_json(json.field("topology")?)?;
-    let forwarding_delay = time_from_json(json.field("forwarding_delay")?)?;
+    let forwarding_delay = delay_from_json(json, "forwarding_delay")?;
     let mut problem = SynthesisProblem::new(topology, forwarding_delay);
     for app in get_arr(json, "applications")? {
         let app = application_from_json(app)?;

@@ -1,9 +1,8 @@
 //! The workspace's one JSON stack: a value type, a printer, a depth-capped
 //! parser and the string escaper — no dependencies, below every other crate.
 //!
-//! The build container has no registry access, so the workspace cannot pull
-//! `serde_json` (the vendored `serde` is a no-op marker crate, see
-//! `vendor/README.md`). Reports, schedules and online event traces are the
+//! The workspace builds without registry access, so it has no third-party
+//! JSON crate. Reports, schedules and online event traces are the
 //! cross-process interface of the daemon and the router, the figure binaries
 //! emit machine-readable sweeps, and `tsn_telemetry` writes its structured
 //! log and chrome traces — all of them need an actual wire format. This crate

@@ -3,7 +3,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{LinkSpec, NetError, NodeId, NodeKind, Topology};
 
@@ -12,7 +11,7 @@ use crate::{LinkSpec, NetError, NodeId, NodeKind, Topology};
 ///
 /// This is the unit consumed by the synthesis problem builders: application
 /// `i` uses `sensors[i]` as its source and `controllers[i]` as destination.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BuiltNetwork {
     /// The network topology.
     pub topology: Topology,
@@ -96,7 +95,7 @@ pub fn switch_grid(rows: usize, cols: usize, spec: LinkSpec) -> (Topology, Vec<N
 /// End stations should attach to [`edge`](FatTreeLayers::edge) switches only
 /// (as hosts do in a data-center fat-tree); the aggregation and core layers
 /// exist to provide many equal-length alternative routes between edges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTreeLayers {
     /// Core switches, `(pods / 2)^2` of them.
     pub core: Vec<NodeId>,

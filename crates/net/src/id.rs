@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node (switch, sensor or controller) inside a [`Topology`].
 ///
 /// Node ids are dense indexes assigned in insertion order, so they can be
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.index(), 0);
 /// assert_eq!(b.index(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -52,9 +48,7 @@ impl fmt::Display for NodeId {
 /// the egress-port queues of an IEEE 802.1Qbv switch.
 ///
 /// [`Topology`]: crate::Topology
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub(crate) u32);
 
 impl LinkId {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinkId, NodeId, Time};
 
 /// Physical properties of a full-duplex link.
@@ -22,7 +20,7 @@ use crate::{LinkId, NodeId, Time};
 /// let spec = LinkSpec::new(10_000_000, Time::ZERO);
 /// assert_eq!(spec.transmission_delay(1500), Time::from_micros(1200));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkSpec {
     /// Data rate in bits per second.
     data_rate_bps: u64,
@@ -95,7 +93,7 @@ impl Default for LinkSpec {
 /// physical connection added through [`Topology::connect`].
 ///
 /// [`Topology::connect`]: crate::Topology::connect
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     id: LinkId,
     source: NodeId,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::NodeId;
 
 /// The role a node plays in the networked control system.
@@ -12,7 +10,7 @@ use crate::NodeId;
 /// sensors (message sources) and controllers (message sinks). End stations
 /// (sensors and controllers) have a single port; switches forward traffic
 /// between multiple ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An IEEE 802.1Qbv Ethernet switch with scheduled egress queues.
     Switch,
@@ -58,7 +56,7 @@ impl fmt::Display for NodeKind {
 /// assert_eq!(node.name(), "SW0");
 /// assert!(node.kind().is_switch());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     id: NodeId,
     name: String,

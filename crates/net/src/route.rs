@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinkId, NetError, NodeId, Time, Topology};
 
 /// A loop-free route through the network: an ordered sequence of nodes from a
@@ -35,7 +33,7 @@ use crate::{LinkId, NetError, NodeId, Time, Topology};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     nodes: Vec<NodeId>,
     links: Vec<LinkId>,

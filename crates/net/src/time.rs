@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in time or a duration, measured in integer nanoseconds.
 ///
 /// All scheduling quantities of the synthesis problem (link transmission
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((ld + sd).as_nanos(), 1_205_000);
 /// assert_eq!(Time::from_millis(20).as_micros(), 20_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(i64);
 
 impl Time {

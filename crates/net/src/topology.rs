@@ -3,8 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Link, LinkId, LinkSpec, NetError, Node, NodeId, NodeKind};
 
 /// The network and its topology: a graph `G = (V, E)` whose nodes are
@@ -34,12 +32,11 @@ use crate::{Link, LinkId, LinkSpec, NetError, Node, NodeId, NodeKind};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
     out_links: Vec<Vec<LinkId>>,
-    #[serde(skip)]
     link_index: HashMap<(NodeId, NodeId), LinkId>,
 }
 
@@ -177,14 +174,6 @@ impl Topology {
 
     /// The directed link from `a` to `b`, if the two nodes are connected.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        if self.link_index.is_empty() && !self.links.is_empty() {
-            // Topology was deserialized: fall back to a scan.
-            return self
-                .links
-                .iter()
-                .find(|l| l.source() == a && l.target() == b)
-                .map(|l| l.id());
-        }
         self.link_index.get(&(a, b)).copied()
     }
 
@@ -228,16 +217,6 @@ impl Topology {
             }
         }
         count == self.nodes.len()
-    }
-
-    /// Rebuilds internal lookup tables. Must be called after deserializing a
-    /// topology with serde.
-    pub fn rebuild_index(&mut self) {
-        self.link_index = self
-            .links
-            .iter()
-            .map(|l| ((l.source(), l.target()), l.id()))
-            .collect();
     }
 }
 
@@ -354,18 +333,6 @@ mod tests {
         assert_eq!(n, vec![b, c]);
         assert_eq!(t.degree(a), 2);
         assert_eq!(t.out_links(a).len(), 2);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup_after_deserialization() {
-        let (t, a, b, _) = triangle();
-        // Emulate the state right after serde deserialization: the link
-        // lookup table is skipped and therefore empty.
-        let mut t2 = t.clone();
-        t2.link_index.clear();
-        assert_eq!(t2.link_between(a, b), t.link_between(a, b));
-        t2.rebuild_index();
-        assert_eq!(t2.link_between(a, b), t.link_between(a, b));
     }
 
     #[test]

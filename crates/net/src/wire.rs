@@ -28,6 +28,23 @@ pub fn time_from_json(json: &Json) -> Result<Time, JsonError> {
         .ok_or_else(|| bad("time is not an integer nanosecond count"))
 }
 
+/// Decodes member `key` of `json` as a delay: a [`Time`] that is not
+/// negative. Every link propagation and switch forwarding delay read from
+/// outside input goes through here; a negative one would let a schedule run
+/// backwards along its route and still pass verification.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] when the member is missing, not an integer or
+/// negative.
+pub fn delay_from_json(json: &Json, key: &str) -> Result<Time, JsonError> {
+    let delay = time_from_json(json.field(key)?)?;
+    if delay.is_negative() {
+        return Err(bad(format!("member {key:?} is a negative delay")));
+    }
+    Ok(delay)
+}
+
 /// Encodes a [`NodeKind`] as its lowercase name.
 pub fn node_kind_to_json(kind: NodeKind) -> Json {
     Json::from(match kind {
@@ -64,14 +81,14 @@ pub fn link_spec_to_json(spec: LinkSpec) -> Json {
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] for malformed members or a non-positive data
-/// rate.
+/// Returns a [`JsonError`] for malformed members, a non-positive data
+/// rate or a negative propagation delay.
 pub fn link_spec_from_json(json: &Json) -> Result<LinkSpec, JsonError> {
     let rate = get_u64(json, "rate_bps")?;
     if rate == 0 {
         return Err(bad("link data rate must be positive"));
     }
-    Ok(LinkSpec::new(rate, time_from_json(json.field("prop_ns")?)?))
+    Ok(LinkSpec::new(rate, delay_from_json(json, "prop_ns")?))
 }
 
 /// Encodes a [`Topology`]: the node list plus one `{a, b, spec}` entry per
@@ -156,7 +173,7 @@ mod tests {
             assert_eq!(a.spec(), b.spec());
         }
         assert!(back.is_connected());
-        // The rebuilt lookup table works without rebuild_index().
+        // Lookups work on the decoded topology.
         for l in net.topology.links() {
             assert_eq!(back.link_between(l.source(), l.target()), Some(l.id()));
         }

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use tsn_net::LinkId;
 use tsn_synthesis::ControlApplication;
 
@@ -12,9 +11,7 @@ use tsn_synthesis::ControlApplication;
 /// Every [`AdmitApp`](NetworkEvent::AdmitApp) event consumes one id, whether
 /// or not the admission succeeds, so trace generators can predict ids
 /// without knowing admission outcomes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(pub u64);
 
 impl fmt::Display for AppId {
@@ -24,7 +21,7 @@ impl fmt::Display for AppId {
 }
 
 /// One event of a dynamic network scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum NetworkEvent {
     /// A new control application asks to join the network.
     AdmitApp {
@@ -49,7 +46,7 @@ pub enum NetworkEvent {
 }
 
 /// What the engine decided for one event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Decision {
     /// The application was admitted incrementally: only its own messages
     /// were scheduled, every existing reservation is untouched.
@@ -105,7 +102,7 @@ impl Decision {
 }
 
 /// The engine's report for one processed event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EventReport {
     /// Position of the event in the processed trace.
     pub index: usize,
@@ -165,7 +162,7 @@ pub enum BatchPolicy {
 /// previous route used. Under the sequential path the per-event reports are
 /// exactly what repeated [`process`](crate::OnlineEngine::process) calls
 /// would have produced and the batch-level counters are their sums.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchReport {
     /// One report per event, in submission order.
     pub reports: Vec<EventReport>,
@@ -216,7 +213,7 @@ impl BatchReport {
 }
 
 /// Aggregate statistics of a processed trace, for reporting and benches.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Number of events processed.
     pub events: usize,

@@ -3,10 +3,8 @@
 //! Event traces and per-event reports are the cross-process interface of the
 //! online engine — trace generators, replay tooling and future sharded
 //! deployments exchange them as text. Like `tsn_synthesis::wire`, this
-//! module provides explicit `to_json`/`from_json` pairs over
-//! [`tsn_net::json::Json`] (the vendored `serde` is a no-op marker crate);
-//! the serde derive markers on the types stay for a future swap to the real
-//! crates.
+//! module is the types' only serialization: explicit `to_json`/`from_json`
+//! pairs over [`tsn_net::json::Json`].
 
 use tsn_net::json::{Json, JsonError};
 use tsn_net::LinkId;
@@ -598,7 +596,7 @@ pub fn session_snapshot_from_json(json: &Json) -> Result<SessionSnapshot, JsonEr
     };
     Ok(SessionSnapshot {
         topology: tsn_net::wire::topology_from_json(json.field("topology")?)?,
-        forwarding_delay: tsn_net::wire::time_from_json(json.field("forwarding_delay")?)?,
+        forwarding_delay: tsn_net::wire::delay_from_json(json, "forwarding_delay")?,
         config: online_config_from_json(json.field("config")?)?,
         apps,
         down,

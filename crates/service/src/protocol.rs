@@ -100,7 +100,7 @@
 use std::time::Duration;
 
 use tsn_net::json::{bad, get_bool, get_i64, get_str, Json, JsonError};
-use tsn_net::wire::{time_from_json, time_to_json, topology_from_json, topology_to_json};
+use tsn_net::wire::{delay_from_json, time_to_json, topology_from_json, topology_to_json};
 use tsn_net::{Time, Topology};
 use tsn_online::wire::{
     batch_report_to_json, event_from_json, event_report_to_json, event_to_json,
@@ -364,7 +364,7 @@ impl RequestBody {
             "open_tenant" => Ok(RequestBody::OpenTenant {
                 tenant: get_str(json, "tenant")?.to_string(),
                 topology: topology_from_json(json.field("topology")?)?,
-                forwarding_delay: time_from_json(json.field("forwarding_delay")?)?,
+                forwarding_delay: delay_from_json(json, "forwarding_delay")?,
                 config: json
                     .opt("config")
                     .map(online_config_from_json)

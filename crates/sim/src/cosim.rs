@@ -1,7 +1,6 @@
 //! Control-loop co-simulation: the plant dynamics are simulated under the
 //! per-instance network delays of a synthesized schedule.
 
-use serde::{Deserialize, Serialize};
 use tsn_control::linalg::Matrix;
 use tsn_control::{
     augmented_system, required_stored_inputs, ControlError, ControllerWeights, Plant,
@@ -10,7 +9,7 @@ use tsn_control::{
 use tsn_net::Time;
 
 /// The result of a control co-simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoSimReport {
     /// Euclidean norm of the plant state after every sampling period.
     pub state_norms: Vec<f64>,

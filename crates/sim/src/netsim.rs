@@ -3,12 +3,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use serde::{Deserialize, Serialize};
 use tsn_net::{LinkId, Time};
 use tsn_synthesis::{Schedule, SynthesisProblem};
 
 /// Configuration of a simulation run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
     /// Number of hyper-periods to simulate.
     pub hyperperiods: usize,
@@ -31,7 +30,7 @@ impl Default for SimConfig {
 }
 
 /// Observed metrics of one application's flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulatedFlowMetrics {
     /// Number of frames delivered to the controller.
     pub delivered: usize,
@@ -44,7 +43,7 @@ pub struct SimulatedFlowMetrics {
 }
 
 /// A protocol violation detected during simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A gate opened before the frame it should transmit had fully arrived
     /// and been processed at the switch.
@@ -64,7 +63,7 @@ pub enum Violation {
 }
 
 /// The result of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Per-application observed flow metrics.
     pub flows: Vec<SimulatedFlowMetrics>,

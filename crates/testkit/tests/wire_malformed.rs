@@ -14,6 +14,7 @@ use tsn_net::json::Json;
 use tsn_net::{builders, LinkSpec, Time};
 use tsn_online::{NetworkEvent, OnlineConfig, OnlineEngine};
 use tsn_service::protocol::{Backend, Request, RequestBody, Response};
+use tsn_service::{Service, ServiceConfig};
 use tsn_synthesis::{ControlApplication, SynthesisConfig, SynthesisProblem, Synthesizer};
 
 /// A structured-log event with hostile-ish content: every value kind, a
@@ -34,10 +35,10 @@ fn log_specimen() -> tsn_telemetry::log::LogEvent {
     }
 }
 
-/// A valid specimen line for every wire document kind in the workspace.
-fn specimens() -> Vec<(&'static str, String)> {
-    let net = builders::figure1_example(LinkSpec::fast_ethernet());
-    let mut problem = SynthesisProblem::new(net.topology.clone(), Time::from_micros(5));
+/// Two control loops on the figure-1 network built from `link`.
+fn figure1_problem(link: LinkSpec, forwarding_delay: Time) -> SynthesisProblem {
+    let net = builders::figure1_example(link);
+    let mut problem = SynthesisProblem::new(net.topology, forwarding_delay);
     for i in 0..2 {
         problem
             .add_application(
@@ -50,6 +51,13 @@ fn specimens() -> Vec<(&'static str, String)> {
             )
             .unwrap();
     }
+    problem
+}
+
+/// A valid specimen line for every wire document kind in the workspace.
+fn specimens() -> Vec<(&'static str, String)> {
+    let net = builders::figure1_example(LinkSpec::fast_ethernet());
+    let problem = figure1_problem(LinkSpec::fast_ethernet(), Time::from_micros(5));
     let report = Synthesizer::new(SynthesisConfig {
         stages: 1,
         ..SynthesisConfig::default()
@@ -631,6 +639,70 @@ fn retry_after_codec_round_trips_and_rejects_confusion() {
             "non-integer retry_after_ms accepted: {bad}"
         );
     }
+}
+
+#[test]
+fn negative_delays_are_rejected_at_every_boundary() {
+    // With a negative link or forwarding delay a schedule's link releases
+    // run backwards along its route, and `verify_schedule` accepts it. The
+    // constructors accept any delay, so every decoder of outside input must
+    // refuse a negative one.
+    let negative = Time::from_millis(-5);
+    let backwards_link = LinkSpec::new(100_000_000, negative);
+    assert!(
+        tsn_net::wire::link_spec_from_json(&tsn_net::wire::link_spec_to_json(backwards_link))
+            .is_err(),
+        "negative prop_ns accepted by the link decoder"
+    );
+
+    for problem in [
+        figure1_problem(backwards_link, Time::from_micros(5)),
+        figure1_problem(LinkSpec::fast_ethernet(), negative),
+    ] {
+        // A fresh daemon each time, so no tenant is already open.
+        let service = Service::new(ServiceConfig::default());
+        assert!(
+            tsn_synthesis::wire::problem_from_json(&tsn_synthesis::wire::problem_to_json(&problem))
+                .is_err(),
+            "negative delay accepted by the problem decoder"
+        );
+        let open_tenant = RequestBody::OpenTenant {
+            tenant: "backwards".into(),
+            topology: problem.topology().clone(),
+            forwarding_delay: problem.forwarding_delay(),
+            config: None,
+        };
+        let synthesize = RequestBody::Synthesize {
+            problem,
+            config: None,
+            backend: Backend::Auto,
+        };
+        for body in [open_tenant, synthesize] {
+            let line = Request {
+                id: 1,
+                trace: None,
+                body,
+            }
+            .to_line();
+            assert!(Request::parse_line(&line).is_err(), "accepted: {line}");
+            let response = Response::parse_line(&service.handle_line(&line)).unwrap();
+            assert!(response.outcome.is_err(), "served: {line}");
+        }
+    }
+
+    let snapshot = OnlineEngine::new(
+        builders::figure1_example(LinkSpec::fast_ethernet()).topology,
+        negative,
+        OnlineConfig::default(),
+    )
+    .export_session();
+    assert!(
+        tsn_online::wire::session_snapshot_from_json(&tsn_online::wire::session_snapshot_to_json(
+            &snapshot
+        ))
+        .is_err(),
+        "negative forwarding_delay accepted by the snapshot decoder"
+    );
 }
 
 /// A copy of `doc` with one member replaced (or appended).

@@ -9,12 +9,11 @@
 //! parameters are drawn from the ranges observed in the paper's Table I.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tsn_control::{CurveOptions, PiecewiseLinearBound, Plant, StabilityCurve};
 use tsn_net::Time;
 
 /// The benchmark plant a control application regulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlantKind {
     /// DC servo `1000 / (s^2 + s)`.
     DcServo,
@@ -47,7 +46,7 @@ impl PlantKind {
 }
 
 /// The specification of one generated control application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppSpec {
     /// Name of the application.
     pub name: String,

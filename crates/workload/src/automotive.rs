@@ -9,7 +9,6 @@
 //! periods chosen so the message count is exactly 106 and with stability
 //! parameters drawn from the same ranges.
 
-use serde::{Deserialize, Serialize};
 use tsn_control::PiecewiseLinearBound;
 use tsn_net::{builders, LinkSpec, Time};
 use tsn_synthesis::{SynthesisError, SynthesisProblem};
@@ -46,7 +45,7 @@ const RECONSTRUCTED_APPS: [(i64, f64, f64); 15] = [
 
 /// A fully specified automotive case study: the problem plus the indexes of
 /// the five applications whose parameters the paper publishes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutomotiveCaseStudy {
     /// The synthesis problem (topology + 20 applications).
     pub problem: SynthesisProblem,

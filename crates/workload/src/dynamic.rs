@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tsn_net::builders::{self, BuiltNetwork};
 use tsn_net::{LinkId, LinkSpec, NodeKind, Time};
 use tsn_online::{AppId, NetworkEvent};
@@ -20,7 +19,7 @@ use tsn_synthesis::ControlApplication;
 use crate::synthetic_bound;
 
 /// Which network a dynamic scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynamicTopology {
     /// The paper's Figure-1 example network (8 switches, 3 loop slots).
     Figure1,
@@ -37,7 +36,7 @@ pub enum DynamicTopology {
 }
 
 /// One dynamic scenario: a network plus a seeded event mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicScenario {
     /// The network shape.
     pub topology: DynamicTopology,
@@ -185,7 +184,7 @@ pub fn event_trace(scenario: &DynamicScenario) -> (BuiltNetwork, Vec<NetworkEven
 /// of that set in the *same* window (a flapping switch: the net failure is
 /// smaller than the transient one), followed by staggered single-`LinkUp`
 /// recovery windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedFailureScenario {
     /// The network shape.
     pub topology: DynamicTopology,

@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tsn_net::{builders, LinkSpec, NodeId, NodeKind, Time, Topology};
 use tsn_synthesis::{SynthesisError, SynthesisProblem};
 
 /// Switch-fabric family of a large-scale instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LargeTopology {
     /// A ring of switches (long routes, two route families per pair).
     Ring,
@@ -35,7 +34,7 @@ impl LargeTopology {
 }
 
 /// Parameters of one large-scale instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleScenario {
     /// Switch-fabric family.
     pub topology: LargeTopology,

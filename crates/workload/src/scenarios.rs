@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tsn_net::{builders, LinkSpec, Time};
 use tsn_synthesis::{SynthesisError, SynthesisProblem};
 
@@ -12,7 +11,7 @@ use crate::AppSpec;
 /// applications on a 35-node network (10 sensors, 10 controllers, 15
 /// switches), with the number of messages per hyper-period as the varied
 /// quantity.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScalabilityScenario {
     /// Target number of messages inside one hyper-period (10–100 in the
     /// paper).
