@@ -491,9 +491,10 @@ impl Model {
     ///
     /// Returns a message naming the first inconsistency when the state does
     /// not describe a valid model (out-of-range variable indices or literal
-    /// codes, mismatched atom tables, oversized warm-start vectors, or a
-    /// non-finite activity increment) — states decoded from untrusted wire
-    /// input go through the same checks as hand-built ones.
+    /// codes, mismatched atom tables, a proxy shared by two atoms, an atom
+    /// listed twice, oversized warm-start vectors, or a non-finite activity
+    /// increment) — states decoded from untrusted wire input go through the
+    /// same checks as hand-built ones.
     pub fn from_state(state: ModelState) -> Result<Self, String> {
         let lit_limit = (state.bools as u64) * 2;
         let check_lits = |clauses: &[Vec<u32>], what: &str| -> Result<(), String> {
@@ -526,12 +527,26 @@ impl Model {
                 ));
             }
         }
+        // The solver keeps one atom per proxy variable, so a proxy listed
+        // twice would silently drop all but one of its atoms.
+        let mut proxies = HashSet::with_capacity(state.atom_proxy.len());
         for &proxy in &state.atom_proxy {
             if proxy as usize >= state.bools {
                 return Err(format!(
                     "atom proxy {proxy} out of range (bools: {})",
                     state.bools
                 ));
+            }
+            if !proxies.insert(proxy) {
+                return Err(format!("atom proxy {proxy} is shared by two atoms"));
+            }
+        }
+        // `diff_le` gives every triple one proxy; two would make the
+        // deduplication index (and `pop`) lose track of one of them.
+        let mut atom_index = HashMap::with_capacity(state.atoms.len());
+        for (&(x, y, k), &proxy) in state.atoms.iter().zip(&state.atom_proxy) {
+            if atom_index.insert((x, y, k), BoolVar(proxy)).is_some() {
+                return Err(format!("atom x{x} - x{y} <= {k} is listed twice"));
             }
         }
         if let Some(zero) = state.zero {
@@ -555,12 +570,6 @@ impl Model {
             return Err("non-finite warm-start activity".to_string());
         }
         let lits = |clause: Vec<u32>| clause.into_iter().map(Lit).collect();
-        let atom_index = state
-            .atoms
-            .iter()
-            .zip(state.atom_proxy.iter())
-            .map(|(&(x, y, k), &proxy)| ((x, y, k), BoolVar(proxy)))
-            .collect();
         Ok(Model {
             // Names are debugging aids; restored variables get empty ones.
             bool_names: vec![String::new(); state.bools],
@@ -1078,6 +1087,14 @@ mod tests {
         bad.atoms.push((9_999, 0, 1));
         bad.atom_proxy.push(0);
         assert!(Model::from_state(bad).is_err(), "atom var out of range");
+
+        let mut bad = good.clone();
+        bad.atom_proxy[1] = bad.atom_proxy[0];
+        assert!(Model::from_state(bad).is_err(), "proxy shared by two atoms");
+
+        let mut bad = good.clone();
+        bad.atoms[1] = bad.atoms[0];
+        assert!(Model::from_state(bad).is_err(), "atom listed twice");
 
         let mut bad = good.clone();
         bad.zero = Some(9_999);

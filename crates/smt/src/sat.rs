@@ -6,8 +6,25 @@
 //! the newly assigned difference-atom proxies are forwarded to the
 //! [`DifferenceLogic`] theory; a theory conflict is turned into a learned
 //! clause and handled exactly like a Boolean conflict.
+//!
+//! # Decision order
+//!
+//! The next decision is the unassigned variable that comes first in one
+//! strict total order: higher activity first, ties to the lower variable
+//! index. The candidates sit in MiniSat's indexed binary max-heap under that
+//! order, so a decision costs O(log n) instead of a sort or a scan. A bump
+//! sifts its variable up, a backjump re-inserts every variable it
+//! unassigns, and a variable assigned by propagation stays in the heap until
+//! a decision pops and drops it. Because the order is strict, the heap's
+//! top is *the* argmax: every choice, and therefore every learned clause and
+//! every statistic, is a function of the activities alone, not of how the
+//! heap happens to be laid out.
+//!
+//! Each variable's difference atom, if it is a proxy, sits in a dense table
+//! indexed by the variable, so theory propagation looks it up without
+//! hashing.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use tsn_telemetry::{Clock, Counter, Histogram, MonotonicClock};
@@ -32,6 +49,9 @@ pub struct Limits {
 /// Default learned-clause count that triggers clause-DB reduction at a
 /// restart boundary; grows by half after every reduction within a solve.
 const DEFAULT_REDUCE_THRESHOLD: usize = 4000;
+
+/// `Solver::heap_pos` entry of a variable that is not in the decision heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// Telemetry handles for the solver, resolved once per process: one
 /// histogram per solve phase plus restart/reduction counters. The phase
@@ -166,11 +186,15 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    // Decision ordering.
+    // Decision ordering: VSIDS activities, the amount the next bump adds,
+    // and a binary max-heap of candidate variables under [`Solver::before`]
+    // (higher activity first, ties to the lower index). Every unassigned
+    // variable is in the heap; assigned ones may linger until popped.
+    // `heap_pos[v]` is v's slot in `heap`, or `NOT_IN_HEAP`.
     activity: Vec<f64>,
     var_inc: f64,
-    order: Vec<BoolVar>,
-    order_dirty: bool,
+    heap: Vec<BoolVar>,
+    heap_pos: Vec<u32>,
     // Clause activity (for DB reduction victim ranking).
     cla_inc: f64,
     // Conflict-analysis scratch: `seen[v] == seen_epoch` marks v as visited
@@ -178,9 +202,10 @@ pub struct Solver {
     // allocation per conflict).
     seen: Vec<u64>,
     seen_epoch: u64,
-    // Theory.
+    // Theory: the difference atom of each proxy variable, indexed by
+    // variable (`None` for plain Booleans).
     theory: DifferenceLogic,
-    atoms: HashMap<u32, DiffAtom>,
+    atoms: Vec<Option<DiffAtom>>,
     theory_qhead: usize,
     // Bookkeeping.
     found_empty_clause: bool,
@@ -203,13 +228,13 @@ impl Solver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
-            order: Vec::new(),
-            order_dirty: false,
+            heap: Vec::new(),
+            heap_pos: Vec::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
             seen_epoch: 0,
             theory,
-            atoms: HashMap::new(),
+            atoms: Vec::new(),
             theory_qhead: 0,
             found_empty_clause: false,
             learned_units: Vec::new(),
@@ -228,13 +253,16 @@ impl Solver {
         self.seen.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push(var);
+        self.atoms.push(None);
+        self.heap_pos.push(NOT_IN_HEAP);
+        self.heap_insert(var);
         var
     }
 
-    /// Attaches a difference atom to a Boolean proxy variable.
+    /// Attaches a difference atom to a Boolean proxy variable. A variable
+    /// proxies at most one atom; attaching a second replaces the first.
     pub fn attach_atom(&mut self, var: BoolVar, atom: DiffAtom) {
-        self.atoms.insert(var.0, atom);
+        self.atoms[var.index()] = Some(atom);
     }
 
     /// Mutable access to the theory (used by the model builder to create
@@ -300,7 +328,7 @@ impl Solver {
         if var_inc.is_finite() && var_inc > 0.0 {
             self.var_inc = var_inc;
         }
-        self.order_dirty = true;
+        self.rebuild_heap();
     }
 
     /// The number of Boolean variables.
@@ -484,7 +512,7 @@ impl Solver {
         while self.theory_qhead < self.trail.len() {
             let lit = self.trail[self.theory_qhead];
             self.theory_qhead += 1;
-            let Some(&atom) = self.atoms.get(&lit.var().0) else {
+            let Some(atom) = self.atoms[lit.var().index()] else {
                 continue;
             };
             let height = self.theory_qhead - 1;
@@ -513,8 +541,103 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rounding can turn two activities into a tie that the index
+            // then breaks the other way, anywhere in the heap.
+            self.rebuild_heap();
+        } else {
+            let pos = self.heap_pos[var.index()];
+            if pos != NOT_IN_HEAP {
+                self.sift_up(pos as usize);
+            }
         }
-        self.order_dirty = true;
+    }
+
+    /// Whether `a` is decided before `b`: higher activity first, ties to
+    /// the lower index. (`partial_cmp` keeps the incomparable NaN case on
+    /// the index too, so this is exactly the sort order the reference
+    /// `pick_by_sort_and_scan` uses.)
+    fn before(&self, a: BoolVar, b: BoolVar) -> bool {
+        match self.activity[a.index()].partial_cmp(&self.activity[b.index()]) {
+            Some(Ordering::Greater) => true,
+            Some(Ordering::Less) => false,
+            _ => a.index() < b.index(),
+        }
+    }
+
+    /// Adds `var` to the decision heap unless it is already there.
+    fn heap_insert(&mut self, var: BoolVar) {
+        if self.heap_pos[var.index()] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap.push(var);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Moves the variable at heap slot `pos` towards the root until its
+    /// parent comes before it.
+    fn sift_up(&mut self, mut pos: usize) {
+        let var = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if !self.before(var, above) {
+                break;
+            }
+            self.heap[pos] = above;
+            self.heap_pos[above.index()] = pos as u32;
+            pos = parent;
+        }
+        self.heap[pos] = var;
+        self.heap_pos[var.index()] = pos as u32;
+    }
+
+    /// Moves the variable at heap slot `pos` towards the leaves until it
+    /// comes before both children.
+    fn sift_down(&mut self, mut pos: usize) {
+        let var = self.heap[pos];
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let below = self.heap[child];
+            if !self.before(below, var) {
+                break;
+            }
+            self.heap[pos] = below;
+            self.heap_pos[below.index()] = pos as u32;
+            pos = child;
+        }
+        self.heap[pos] = var;
+        self.heap_pos[var.index()] = pos as u32;
+    }
+
+    /// Removes and returns the heap's first variable.
+    fn heap_pop(&mut self) -> Option<BoolVar> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        self.heap_pos[top.index()] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    /// Re-establishes the heap order over the heap's current members after
+    /// activities changed wholesale (a rescale or a warm-start seed).
+    fn rebuild_heap(&mut self) {
+        for pos in (0..self.heap.len() / 2).rev() {
+            self.sift_down(pos);
+        }
     }
 
     fn decay_activities(&mut self) {
@@ -626,15 +749,15 @@ impl Solver {
         let target = self.trail_lim[level as usize];
         self.theory.backtrack_to(target);
         for i in (target..self.trail.len()).rev() {
-            let var = self.trail[i].var().index();
-            self.assigns[var] = Value::Unassigned;
-            self.reason[var] = None;
+            let var = self.trail[i].var();
+            self.assigns[var.index()] = Value::Unassigned;
+            self.reason[var.index()] = None;
+            self.heap_insert(var);
         }
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
         self.qhead = target;
         self.theory_qhead = self.theory_qhead.min(target);
-        self.order_dirty = true;
     }
 
     /// Records a learned clause, attaches watches and enqueues its asserting
@@ -726,20 +849,43 @@ impl Solver {
         self.stats.deleted_clauses += victims.len() as u64;
     }
 
+    /// The next decision variable: the first unassigned variable under
+    /// [`before`](Solver::before), or `None` when every variable is
+    /// assigned. Variables that propagation assigned since they were
+    /// inserted are popped and dropped here; `cancel_until` puts them back
+    /// when it unassigns them.
     fn pick_branch_var(&mut self) -> Option<BoolVar> {
-        if self.order_dirty {
-            // Sort descending by activity; ties by index for determinism.
-            self.order.sort_by(|a, b| {
-                self.activity[b.index()]
-                    .partial_cmp(&self.activity[a.index()])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.index().cmp(&b.index()))
-            });
-            self.order_dirty = false;
-        }
-        self.order
-            .iter()
-            .copied()
+        #[cfg(test)]
+        let reference = self.pick_by_sort_and_scan();
+        let picked = loop {
+            match self.heap_pop() {
+                Some(var) if self.assigns[var.index()] != Value::Unassigned => {}
+                next => break next,
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(
+            picked, reference,
+            "the heap must decide exactly what sort-and-scan decides"
+        );
+        picked
+    }
+
+    /// The decision procedure the heap replaced, kept as the reference the
+    /// unit tests hold every heap decision to: sort every variable by
+    /// activity, descending, ties by index, and take the first unassigned
+    /// one.
+    #[cfg(test)]
+    fn pick_by_sort_and_scan(&self) -> Option<BoolVar> {
+        let mut order: Vec<BoolVar> = (0..self.num_vars() as u32).map(BoolVar).collect();
+        order.sort_by(|a, b| {
+            self.activity[b.index()]
+                .partial_cmp(&self.activity[a.index()])
+                .unwrap_or(Ordering::Equal)
+                .then(a.index().cmp(&b.index()))
+        });
+        order
+            .into_iter()
             .find(|v| self.assigns[v.index()] == Value::Unassigned)
     }
 
@@ -1276,6 +1422,123 @@ mod tests {
         pigeonhole(&mut s, 4);
         assert_eq!(s.solve(Limits::default()), SatResult::Unsat);
         assert_eq!(s.solve(Limits::default()), SatResult::Unsat);
+    }
+
+    /// Whether the solver's assignment (read after `Sat`) satisfies every
+    /// clause.
+    fn satisfies(s: &Solver, clauses: &[Vec<Lit>]) -> bool {
+        clauses
+            .iter()
+            .all(|c| c.iter().any(|&l| s.lit_value(l) == Value::True))
+    }
+
+    #[test]
+    fn heap_decides_exactly_what_sort_and_scan_decides() {
+        // `pick_branch_var` asserts, under `cfg(test)`, that every heap pick
+        // equals `pick_by_sort_and_scan`'s. Drive it through seeded random
+        // clause + difference-atom instances, solved repeatedly under
+        // assumptions on one solver, with warm activities that tie (the
+        // index must break them) or trip the 1e100 rescale (whose rounding
+        // creates new ties).
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Two activities one ulp apart that the 1e-100 rescale rounds to
+        // one value.
+        let tie = std::iter::successors(Some(1.6e100_f64), |a| Some(a.next_up()))
+            .find(|&a| a * 1e-100 == a.next_up() * 1e-100)
+            .expect("the rescale merges some pair of neighbours");
+        let mut rng = StdRng::seed_from_u64(0x4EA9);
+        let (mut decisions, mut rescaled, mut sat, mut unsat) = (0u64, 0, 0, 0);
+        for round in 0..200 {
+            let mut s = Solver::new(DifferenceLogic::new());
+            let vars: Vec<BoolVar> = (0..rng.gen_range(6..=24)).map(|_| s.new_var()).collect();
+            let ints: Vec<usize> = (0..rng.gen_range(2..=5))
+                .map(|_| s.theory_mut().new_var())
+                .collect();
+            for &v in &vars {
+                if rng.gen_bool(0.5) {
+                    let x = rng.gen_range(0..ints.len());
+                    let y = (x + rng.gen_range(1..ints.len())) % ints.len();
+                    let k = rng.gen_range(-3..=3);
+                    s.attach_atom(
+                        v,
+                        DiffAtom {
+                            x: ints[x],
+                            y: ints[y],
+                            k,
+                        },
+                    );
+                }
+            }
+            let random_lit = |rng: &mut StdRng| {
+                let v = vars[rng.gen_range(0..vars.len())];
+                if rng.gen_bool(0.5) {
+                    v.lit()
+                } else {
+                    v.negated()
+                }
+            };
+            let clauses: Vec<Vec<Lit>> = (0..rng.gen_range(vars.len()..=2 * vars.len()))
+                .map(|_| {
+                    (0..rng.gen_range(2..=4))
+                        .map(|_| random_lit(&mut rng))
+                        .collect()
+                })
+                .collect();
+            for c in &clauses {
+                s.add_clause(c.clone());
+            }
+            let seeded_inc = match round % 3 {
+                // Cold: every activity 0, so the index alone decides at first.
+                0 => 1.0,
+                // Warm with ties: activities from a three-value set.
+                1 => {
+                    let activity: Vec<f64> = vars
+                        .iter()
+                        .map(|_| f64::from(rng.gen_range(0..3u8)))
+                        .collect();
+                    s.seed_activity(&activity, 1.0);
+                    1.0
+                }
+                // At the rescale: the first bump of a `tie` variable
+                // crosses 1e100, and the rescale then merges `tie` and its
+                // successor, so the index decides where activity did.
+                _ => {
+                    let activity: Vec<f64> = vars
+                        .iter()
+                        .map(|_| match rng.gen_range(0..3u8) {
+                            0 => tie,
+                            1 => tie.next_up(),
+                            _ => rng.gen_range(0.0..1e100),
+                        })
+                        .collect();
+                    s.seed_activity(&activity, 2e98);
+                    2e98
+                }
+            };
+            for _ in 0..3 {
+                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=3))
+                    .map(|_| random_lit(&mut rng))
+                    .collect();
+                match s.solve_under(&assumptions, Limits::default()) {
+                    SatResult::Sat => {
+                        assert!(satisfies(&s, &clauses), "round {round}: bad model");
+                        sat += 1;
+                    }
+                    SatResult::Unsat => unsat += 1,
+                    SatResult::Unknown => panic!("round {round}: no limit was set"),
+                }
+            }
+            decisions += s.stats().decisions;
+            // `var_inc` only ever grows, except through the rescale.
+            if s.activity_snapshot().1 < seeded_inc {
+                rescaled += 1;
+            }
+        }
+        assert!(decisions > 1_000, "too few decisions checked: {decisions}");
+        assert!(rescaled > 0, "no instance reached the activity rescale");
+        assert!(sat > 50 && unsat > 50, "{sat} sat / {unsat} unsat solves");
     }
 
     #[test]

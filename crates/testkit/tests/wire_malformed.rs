@@ -575,6 +575,29 @@ fn type_confusion_is_rejected_everywhere() {
             "hostile session member {member:?} accepted"
         );
     }
+
+    // Every member well-formed, but two atoms share one proxy. The solver
+    // keeps one atom per proxy, so restoring it would silently drop a
+    // constraint: a `migrate_in` carrying it must be refused.
+    let mut proxies = session
+        .get("atom_proxy")
+        .and_then(Json::as_arr)
+        .expect("warm session has atoms")
+        .to_vec();
+    proxies[1] = proxies[0].clone();
+    let shared = with_member(
+        &snapshot,
+        "session",
+        with_member(&session, "atom_proxy", Json::Arr(proxies)),
+    );
+    let line = format!(
+        r#"{{"id": 1, "request": {{"type": "migrate_in", "tenant": "t", "snapshot": {shared}}}}}"#
+    );
+    let response = Service::new(ServiceConfig::default()).handle_line(&line);
+    assert!(
+        Response::parse_line(&response).unwrap().outcome.is_err(),
+        "a session sharing one proxy between two atoms was restored: {response}"
+    );
 }
 
 #[test]
