@@ -3,15 +3,15 @@
 //! Runs the reconstructed General-Motors-like scenario (20 control
 //! applications, 8 switches, 106 messages in a 200 ms hyper-period,
 //! `ld = 1.2 ms`, `sd = 5 µs`) twice: once with the stability-aware
-//! synthesis (3 alternative routes, 5 stages) and once with the
+//! synthesis at the paper's settings ([`SynthesisConfig::automotive`]: 3
+//! alternative routes, 5 stages, a 250 µs stability grid) and once with the
 //! deadline-only baseline, and prints the per-application maximum
 //! end-to-end delay, latency and jitter of the five applications published
 //! in the paper, plus the number of worst-case-stable applications of both
 //! approaches.
 
 use tsn_bench::{millis, print_table, HarnessOptions};
-use tsn_net::Time;
-use tsn_synthesis::{ConstraintMode, RouteStrategy, SynthesisConfig, Synthesizer};
+use tsn_synthesis::{SynthesisConfig, Synthesizer};
 use tsn_workload::{automotive_case_study, TABLE1_APPS};
 
 fn main() {
@@ -26,13 +26,8 @@ fn main() {
     );
 
     let stability_config = SynthesisConfig {
-        route_strategy: RouteStrategy::KShortest(3),
-        stages: 5,
-        mode: ConstraintMode::StabilityAware {
-            granularity: Time::from_millis(1),
-        },
         timeout_per_stage: Some(options.stage_timeout),
-        ..SynthesisConfig::default()
+        ..SynthesisConfig::automotive()
     };
     let deadline_config = stability_config.deadline_baseline();
 

@@ -460,15 +460,23 @@ pub fn config_to_json(config: &SynthesisConfig) -> Json {
     ])
 }
 
+/// The most incremental-synthesis stages a decoded [`SynthesisConfig`] may
+/// ask for. Both synthesizers allocate one slice per stage before solving
+/// anything, so an unbounded count from the wire is an allocation the
+/// process cannot survive. The paper uses 5 and the Figure 5 sweep at most
+/// 14; beyond the message count extra stages are empty anyway.
+const MAX_STAGES: usize = 4096;
+
 /// Decodes a [`SynthesisConfig`].
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] describing the first malformed member.
+/// Returns a [`JsonError`] describing the first malformed member, including
+/// a stage count above 4096.
 pub fn config_from_json(json: &Json) -> Result<SynthesisConfig, JsonError> {
     // Optional members may be `null` or absent (the two wire layers agree:
     // the service envelopes treat them identically).
-    Ok(SynthesisConfig {
+    let config = SynthesisConfig {
         route_strategy: route_strategy_from_json(json.field("route_strategy")?)?,
         stages: get_usize(json, "stages")?,
         mode: mode_from_json(json.field("mode")?)?,
@@ -478,7 +486,14 @@ pub fn config_from_json(json: &Json) -> Result<SynthesisConfig, JsonError> {
             .map(duration_from_json)
             .transpose()?,
         verify: get_bool(json, "verify")?,
-    })
+    };
+    if config.stages > MAX_STAGES {
+        return Err(bad(format!(
+            "stages {} exceeds the maximum of {MAX_STAGES}",
+            config.stages
+        )));
+    }
+    Ok(config)
 }
 
 /// Encodes a [`SynthesisProblem`]: topology, forwarding delay and the

@@ -36,6 +36,10 @@ pub struct SolverStats {
     /// Number of difference atoms asserted into the theory solver (each is
     /// one incremental consistency check of the constraint graph).
     pub theory_checks: u64,
+    /// Number of literals the theory implied: unassigned atoms decided by
+    /// an asserted edge over the same pair of integer variables, enqueued
+    /// instead of left to a decision.
+    pub theory_implications: u64,
     /// Number of unit propagations.
     pub propagations: u64,
     /// Number of learned clauses.
@@ -75,6 +79,9 @@ impl SolverStats {
                 .theory_conflicts
                 .saturating_sub(baseline.theory_conflicts),
             theory_checks: self.theory_checks.saturating_sub(baseline.theory_checks),
+            theory_implications: self
+                .theory_implications
+                .saturating_sub(baseline.theory_implications),
             propagations: self.propagations.saturating_sub(baseline.propagations),
             learned_clauses: self
                 .learned_clauses
@@ -97,13 +104,15 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "{} decisions, {} conflicts ({} theory), {} propagations, {} theory checks \
-             ({} scratch reuses), {} learned ({} deleted, {} peak live), {} restarts in {:?}",
+             ({} scratch reuses, {} implications), {} learned ({} deleted, {} peak live), \
+             {} restarts in {:?}",
             self.decisions,
             self.conflicts,
             self.theory_conflicts,
             self.propagations,
             self.theory_checks,
             self.theory_scratch_reuses,
+            self.theory_implications,
             self.learned_clauses,
             self.deleted_clauses,
             self.peak_live_clauses,
@@ -134,6 +143,7 @@ mod tests {
             conflicts: 2,
             theory_conflicts: 1,
             theory_checks: 4,
+            theory_implications: 8,
             propagations: 3,
             learned_clauses: 2,
             restarts: 0,
@@ -147,6 +157,7 @@ mod tests {
         assert!(text.contains("2 conflicts"));
         assert!(text.contains("4 theory checks"));
         assert!(text.contains("7 scratch reuses"));
+        assert!(text.contains("8 implications"));
         assert!(text.contains("6 deleted"));
         assert!(text.contains("9 peak live"));
     }
@@ -158,6 +169,7 @@ mod tests {
             conflicts: 4,
             propagations: 100,
             theory_checks: 20,
+            theory_implications: 30,
             restarts: 1,
             deleted_clauses: 2,
             peak_live_clauses: 50,
@@ -169,6 +181,7 @@ mod tests {
             conflicts: 9,
             propagations: 160,
             theory_checks: 21,
+            theory_implications: 42,
             restarts: 1,
             deleted_clauses: 2,
             peak_live_clauses: 80,
@@ -180,6 +193,7 @@ mod tests {
         assert_eq!(delta.conflicts, 5);
         assert_eq!(delta.propagations, 60);
         assert_eq!(delta.theory_checks, 1);
+        assert_eq!(delta.theory_implications, 12);
         assert_eq!(delta.restarts, 0);
         assert_eq!(delta.deleted_clauses, 0);
         // The peak is a high-water mark, never a difference.

@@ -12,7 +12,8 @@
 //!   difference atoms, cardinality helpers, bounds, and `solve`.
 //! * [`Assignment`] / [`Outcome`] — model extraction.
 //! * [`Solver`] — the underlying CDCL(T) engine (two-watched literals,
-//!   first-UIP learning, activity ordering, Luby restarts).
+//!   first-UIP learning, activity ordering, Luby restarts, same-pair theory
+//!   propagation).
 //! * [`DifferenceLogic`] — the incremental Cotton–Maler difference-logic
 //!   theory with negative-cycle explanations.
 //!

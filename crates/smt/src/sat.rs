@@ -7,6 +7,24 @@
 //! [`DifferenceLogic`] theory; a theory conflict is turned into a learned
 //! clause and handled exactly like a Boolean conflict.
 //!
+//! # Theory propagation
+//!
+//! The theory does not only check what the SAT core asserts, it also
+//! implies. Every proxy belongs to the slice of atoms over its unordered
+//! integer pair `{x, y}`. Once the theory accepts an edge `from → to` of
+//! weight `w` (`to − from ≤ w`), every unassigned atom of that pair it
+//! decides is enqueued: `to − from ≤ k` with `k ≥ w` as true, and
+//! `from − to ≤ k` with `k < −w` as false. The stability staircase (many
+//! unary bounds on one release) and the two orderings of a contended link
+//! are exactly such pairs, so the search no longer decides an atom an edge
+//! on the same two variables has already settled. An implied literal's
+//! reason is the binary clause `(implied ∨ ¬edge literal)`; it is never
+//! stored (the reason slot holds `THEORY_REASON` and the edge literal sits
+//! in a per-variable table), so clause-DB reduction and the exported learned
+//! clauses never see it. An implied literal is not asserted into the theory
+//! in turn: the stronger edge that implied it already is. Implications via
+//! longer paths are not made.
+//!
 //! # Decision order
 //!
 //! The next decision is the unassigned variable that comes first in one
@@ -22,7 +40,10 @@
 //!
 //! Each variable's difference atom, if it is a proxy, sits in a dense table
 //! indexed by the variable, so theory propagation looks it up without
-//! hashing.
+//! hashing. The same-pair slices are one flat array, built before a solve by
+//! sorting the proxies on (pair, variable): no hashing there either, and the
+//! order of implications is a function of the model alone, so the search is
+//! the same for any thread count.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -52,6 +73,11 @@ const DEFAULT_REDUCE_THRESHOLD: usize = 4000;
 
 /// `Solver::heap_pos` entry of a variable that is not in the decision heap.
 const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// `Solver::reason` entry of a literal the theory implied. It names no
+/// clause: the reason is `(implied ∨ ¬antecedent[var])`, expanded by
+/// `analyze` on demand.
+const THEORY_REASON: usize = usize::MAX;
 
 /// Telemetry handles for the solver, resolved once per process: one
 /// histogram per solve phase plus restart/reduction counters. The phase
@@ -207,6 +233,17 @@ pub struct Solver {
     theory: DifferenceLogic,
     atoms: Vec<Option<DiffAtom>>,
     theory_qhead: usize,
+    // Same-pair index: `pair_members[pair_start[p]..pair_start[p + 1]]` are
+    // the proxies over integer pair `p`, in variable order, and
+    // `pair_of[v]` is proxy v's pair. Rebuilt by `solve_under` whenever
+    // `attach_atom` ran since the last build (`pairs_stale`).
+    pair_of: Vec<u32>,
+    pair_start: Vec<u32>,
+    pair_members: Vec<BoolVar>,
+    pairs_stale: bool,
+    // For a variable whose reason is `THEORY_REASON`: the literal of the
+    // edge that implied it.
+    antecedent: Vec<Lit>,
     // Bookkeeping.
     found_empty_clause: bool,
     learned_units: Vec<Lit>,
@@ -236,6 +273,11 @@ impl Solver {
             theory,
             atoms: Vec::new(),
             theory_qhead: 0,
+            pair_of: Vec::new(),
+            pair_start: Vec::new(),
+            pair_members: Vec::new(),
+            pairs_stale: false,
+            antecedent: Vec::new(),
             found_empty_clause: false,
             learned_units: Vec::new(),
             stats: SolverStats::default(),
@@ -254,6 +296,8 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.atoms.push(None);
+        self.pair_of.push(0);
+        self.antecedent.push(var.lit());
         self.heap_pos.push(NOT_IN_HEAP);
         self.heap_insert(var);
         var
@@ -261,8 +305,41 @@ impl Solver {
 
     /// Attaches a difference atom to a Boolean proxy variable. A variable
     /// proxies at most one atom; attaching a second replaces the first.
+    /// Atoms may be attached between solves: the next solve re-indexes them.
     pub fn attach_atom(&mut self, var: BoolVar, atom: DiffAtom) {
         self.atoms[var.index()] = Some(atom);
+        self.pairs_stale = true;
+    }
+
+    /// Rebuilds the same-pair index from the attached atoms: sort the
+    /// proxies on (unordered pair, variable) and cut the run at each new
+    /// pair.
+    fn rebuild_pairs(&mut self) {
+        let atoms = &self.atoms;
+        let pair = |var: BoolVar| {
+            let a = atoms[var.index()].expect("only proxies are indexed");
+            (a.x.min(a.y), a.x.max(a.y))
+        };
+        self.pair_members.clear();
+        self.pair_members.extend(
+            (0..atoms.len() as u32)
+                .map(BoolVar)
+                .filter(|v| atoms[v.index()].is_some()),
+        );
+        // In place: the index allocates nothing beyond its own arrays.
+        self.pair_members
+            .sort_unstable_by_key(|&var| (pair(var), var));
+        self.pair_start.clear();
+        let mut previous = None;
+        for (i, &var) in self.pair_members.iter().enumerate() {
+            if previous != Some(pair(var)) {
+                previous = Some(pair(var));
+                self.pair_start.push(i as u32);
+            }
+            self.pair_of[var.index()] = (self.pair_start.len() - 1) as u32;
+        }
+        self.pair_start.push(self.pair_members.len() as u32);
+        self.pairs_stale = false;
     }
 
     /// Mutable access to the theory (used by the model builder to create
@@ -505,9 +582,15 @@ impl Solver {
         None
     }
 
-    /// Forwards newly assigned difference-atom proxies to the theory.
-    /// Returns a conflict clause (all of whose literals are currently false)
-    /// on theory inconsistency.
+    /// Forwards newly assigned difference-atom proxies to the theory and
+    /// enqueues the same-pair atoms each accepted edge decides. Returns a
+    /// conflict clause (all of whose literals are currently false) on theory
+    /// inconsistency.
+    ///
+    /// A literal the theory implied is not forwarded: its edge is weaker
+    /// than the one that implied it, which stays asserted for as long as
+    /// the implied literal stays on the trail, so asserting it could neither
+    /// fail nor imply anything new.
     fn theory_propagate(&mut self) -> Option<Vec<Lit>> {
         while self.theory_qhead < self.trail.len() {
             let lit = self.trail[self.theory_qhead];
@@ -515,23 +598,55 @@ impl Solver {
             let Some(atom) = self.atoms[lit.var().index()] else {
                 continue;
             };
+            if self.reason[lit.var().index()] == Some(THEORY_REASON) {
+                continue;
+            }
             let height = self.theory_qhead - 1;
             self.stats.theory_checks += 1;
-            let result = if lit.is_negative() {
+            // The edge `from -> to` of weight `w`: `to - from <= w`.
+            let (from, to, w) = if lit.is_negative() {
                 // not (x - y <= k)  ==>  y - x <= -k - 1. In two's
                 // complement `!k == -k - 1` for every k, including
                 // `i64::MIN` where `-k` alone would overflow.
-                self.theory.assert_le(atom.y, atom.x, !atom.k, lit, height)
+                (atom.x, atom.y, !atom.k)
             } else {
-                self.theory.assert_le(atom.x, atom.y, atom.k, lit, height)
+                (atom.y, atom.x, atom.k)
             };
+            let result = self.theory.assert_le(to, from, w, lit, height);
             self.stats.theory_scratch_reuses = self.theory.scratch_reuses();
             if let Err(true_lits) = result {
                 self.stats.theory_conflicts += 1;
                 return Some(true_lits.into_iter().map(|l| !l).collect());
             }
+            self.imply_same_pair(lit, from, to, w);
         }
         None
+    }
+
+    /// Enqueues every unassigned atom over `{from, to}` that the edge
+    /// `to - from <= w`, just accepted for `lit`, decides: `to - from <= k`
+    /// holds for every `k >= w`, and `from - to <= k` fails for every
+    /// `k < -w`, written `k <= !w` (`!w == -w - 1`) so that `w == i64::MIN`
+    /// cannot overflow. Each implied literal's reason is `lit` alone.
+    fn imply_same_pair(&mut self, lit: Lit, from: usize, to: usize, w: i64) {
+        let pair = self.pair_of[lit.var().index()] as usize;
+        for i in self.pair_start[pair] as usize..self.pair_start[pair + 1] as usize {
+            let var = self.pair_members[i];
+            if self.assigns[var.index()] != Value::Unassigned {
+                continue;
+            }
+            let atom = self.atoms[var.index()].expect("pair members are proxies");
+            let implied = if atom.x == to && atom.y == from && atom.k >= w {
+                var.lit()
+            } else if atom.x == from && atom.y == to && atom.k <= !w {
+                var.negated()
+            } else {
+                continue;
+            };
+            self.antecedent[var.index()] = lit;
+            self.enqueue(implied, Some(THEORY_REASON));
+            self.stats.theory_implications += 1;
+        }
     }
 
     fn bump_var(&mut self, var: BoolVar) {
@@ -659,6 +774,24 @@ impl Solver {
         }
     }
 
+    /// Visits one (false) antecedent literal during `analyze`: a literal of
+    /// the current decision level is counted for resolution, an older one
+    /// joins the learned clause, a level-0 or already visited one is
+    /// skipped.
+    fn analyze_visit(&mut self, l: Lit, epoch: u64, counter: &mut usize, learned: &mut Vec<Lit>) {
+        let v = l.var();
+        if self.seen[v.index()] == epoch || self.level[v.index()] == 0 {
+            return;
+        }
+        self.seen[v.index()] = epoch;
+        self.bump_var(v);
+        if self.level[v.index()] == self.decision_level() {
+            *counter += 1;
+        } else {
+            learned.push(l);
+        }
+    }
+
     /// First-UIP conflict analysis. Returns the learned clause (asserting
     /// literal first) and the level to backtrack to.
     fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
@@ -669,40 +802,34 @@ impl Solver {
         let mut asserting: Option<Lit> = None;
         let mut trail_idx = self.trail.len();
         let mut clause_idx = Some(conflict);
-        let current_level = self.decision_level();
 
         loop {
-            // Take the reason literals out of the clause instead of cloning
-            // them: `bump_var` below needs `&mut self`, and moving the Vec
-            // out (and back) costs nothing.
-            let reason_lits: Vec<Lit> = match clause_idx {
+            match clause_idx {
+                // The implied literal's unstored reason `(implied ∨ ¬edge)`:
+                // its one antecedent is the edge literal's negation.
+                Some(THEORY_REASON) => {
+                    let implied = asserting.expect("a conflict clause is a stored clause");
+                    let edge = self.antecedent[implied.var().index()];
+                    self.analyze_visit(!edge, epoch, &mut counter, &mut learned);
+                }
                 Some(ci) => {
                     self.bump_clause(ci);
-                    std::mem::take(&mut self.clauses[ci].lits)
+                    // Take the literals out of the clause instead of cloning
+                    // them: `analyze_visit` needs `&mut self`, and moving
+                    // the Vec out (and back) costs nothing.
+                    let reason_lits = std::mem::take(&mut self.clauses[ci].lits);
+                    // Skip the literal we are currently resolving on (the
+                    // clause is its reason); everything else is an
+                    // antecedent.
+                    let resolved_var = asserting.map(|l| l.var());
+                    for &l in &reason_lits {
+                        if Some(l.var()) != resolved_var {
+                            self.analyze_visit(l, epoch, &mut counter, &mut learned);
+                        }
+                    }
+                    self.clauses[ci].lits = reason_lits;
                 }
-                None => Vec::new(),
-            };
-            // Skip the literal we are currently resolving on (the clause is
-            // its reason); everything else is an antecedent.
-            let resolved_var = asserting.map(|l| l.var());
-            for &l in reason_lits.iter() {
-                if Some(l.var()) == resolved_var {
-                    continue;
-                }
-                let v = l.var();
-                if self.seen[v.index()] == epoch || self.level[v.index()] == 0 {
-                    continue;
-                }
-                self.seen[v.index()] = epoch;
-                self.bump_var(v);
-                if self.level[v.index()] == current_level {
-                    counter += 1;
-                } else {
-                    learned.push(l);
-                }
-            }
-            if let Some(ci) = clause_idx {
-                self.clauses[ci].lits = reason_lits;
+                None => {}
             }
             // Find the next literal of the current level on the trail.
             loop {
@@ -799,8 +926,11 @@ impl Solver {
     fn reduce_db(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         let mut locked = vec![false; self.clauses.len()];
-        for r in self.reason.iter().flatten() {
-            locked[*r] = true;
+        for &r in self.reason.iter().flatten() {
+            // A theory reason names no clause, so it locks none.
+            if r != THEORY_REASON {
+                locked[r] = true;
+            }
         }
         let mut removable: Vec<usize> = (0..self.clauses.len())
             .filter(|&i| self.clauses[i].learned && self.clauses[i].lits.len() > 2 && !locked[i])
@@ -843,8 +973,10 @@ impl Solver {
             }
         }
         for r in self.reason.iter_mut().flatten() {
-            *r = remap[*r];
-            debug_assert_ne!(*r, usize::MAX);
+            if *r != THEORY_REASON {
+                *r = remap[*r];
+                debug_assert_ne!(*r, usize::MAX);
+            }
         }
         self.stats.deleted_clauses += victims.len() as u64;
     }
@@ -929,6 +1061,9 @@ impl Solver {
         self.learned_units.clear();
         if self.found_empty_clause {
             return SatResult::Unsat;
+        }
+        if self.pairs_stale {
+            self.rebuild_pairs();
         }
         let mut call_conflicts = 0u64;
         let mut restart_count = 0u64;
@@ -1015,6 +1150,9 @@ impl Solver {
                         }
                     }
                 }
+                // Theory propagation implied literals that Boolean
+                // propagation has not seen yet: back to BCP first.
+                None if self.qhead < self.trail.len() => {}
                 None => {
                     // No conflict: install the next pending assumption (one
                     // decision level per assumption), then decide.
@@ -1213,6 +1351,76 @@ mod tests {
         let vx = s.theory().value(x);
         let vy = s.theory().value(y);
         assert!(vx - vy >= 6, "negated atom must be respected: {vx} - {vy}");
+    }
+
+    #[test]
+    fn an_edge_implies_the_same_pair_atoms_it_decides_even_at_the_i64_limits() {
+        // Each case forces the edge atom `x - y <= k` (or its negation) and
+        // leaves one more atom over the same two variables free. The edge
+        // alone settles it (`Some(value)`: the theory enqueues it, nothing is
+        // decided) or leaves it open (`None`: the SAT core decides it).
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        // (edge k, edge polarity, candidate (x_first, k), expected value)
+        let cases = [
+            // x - y <= MIN: x - y <= MIN holds, y - x <= MAX cannot
+            // (y - x >= 2^63), whatever -MIN would have overflowed to.
+            (MIN, true, (true, MIN), Some(true)),
+            (MIN, true, (true, MAX), Some(true)),
+            (MIN, true, (false, MAX), Some(false)),
+            // x - y <= MAX: y - x >= MIN + 1, so y - x <= MIN fails.
+            (MAX, true, (true, MAX), Some(true)),
+            (MAX, true, (true, MAX - 1), None),
+            (MAX, true, (false, MIN), Some(false)),
+            (MAX, true, (false, MIN + 1), None),
+            // not (x - y <= MAX) is the edge y - x <= MIN.
+            (MAX, false, (false, MIN), Some(true)),
+            (MAX, false, (true, MAX - 1), Some(false)),
+            // not (x - y <= MIN) is the edge y - x <= MAX.
+            (MIN, false, (false, MAX), Some(true)),
+            (MIN, false, (false, MAX - 1), None),
+            (MIN, false, (true, MIN), Some(false)),
+            (MIN, false, (true, MIN + 1), None),
+            // Away from the limits: x - y <= 0.
+            (0, true, (true, 0), Some(true)),
+            (0, true, (true, -1), None),
+            (0, true, (false, 0), None),
+            (0, true, (false, -1), Some(false)),
+        ];
+        for (edge_k, edge_true, (x_first, k), expected) in cases {
+            let mut s = Solver::new(DifferenceLogic::new());
+            let edge = s.new_var();
+            let candidate = s.new_var();
+            let x = s.theory_mut().new_var();
+            let y = s.theory_mut().new_var();
+            s.attach_atom(edge, DiffAtom { x, y, k: edge_k });
+            let atom = if x_first {
+                DiffAtom { x, y, k }
+            } else {
+                DiffAtom { x: y, y: x, k }
+            };
+            s.attach_atom(candidate, atom);
+            s.add_clause(vec![if edge_true {
+                edge.lit()
+            } else {
+                edge.negated()
+            }]);
+            let case = format!("edge {edge_k} {edge_true}, candidate {atom:?}");
+            assert_eq!(s.solve(Limits::default()), SatResult::Sat, "{case}");
+            let stats = s.stats();
+            match expected {
+                Some(value) => {
+                    assert_eq!(stats.theory_implications, 1, "{case}");
+                    assert_eq!(stats.decisions, 0, "{case}");
+                    let want = if value { Value::True } else { Value::False };
+                    assert_eq!(s.value(candidate), want, "{case}");
+                }
+                None => {
+                    assert_eq!(stats.theory_implications, 0, "{case}");
+                    assert_eq!(stats.decisions, 1, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! integer variables. Atoms are attached to Boolean proxy variables by the
 //! [`Model`](crate::Model); whenever the SAT core assigns such a proxy, the
 //! corresponding constraint (or its integer negation `y - x <= -k - 1`) is
-//! asserted here.
+//! asserted here. An accepted edge also decides other atoms: the
+//! [`Solver`](crate::Solver) implies every unassigned atom over the same two
+//! variables that the edge settles, so the theory's verdicts reach the
+//! search as propagations, not only as conflicts.
 //!
 //! Consistency is maintained incrementally with the Cotton–Maler potential
 //! algorithm: a potential function `pi` with non-negative reduced cost

@@ -119,6 +119,55 @@ pub fn random_instance(rng: &mut StdRng) -> DiffInstance {
     }
 }
 
+/// Draws a random instance whose atoms crowd onto one or two integer pairs,
+/// several bounds each and in both directions, the way the scheduling
+/// encoding's do: a stability staircase is a run of unary bounds on one
+/// release (atoms over `{x0, zero}`), a contended link is the two opposite
+/// orderings of one pair of offsets (atoms over `{x0, x1}`). Constants are
+/// drawn close together and close to the variables' bounds, so asserting
+/// one atom of a pair often decides others. Sizes stay within
+/// [`random_instance`]'s limits.
+pub fn crowded_instance(rng: &mut StdRng) -> DiffInstance {
+    let num_bools = rng.gen_range(0..2);
+    let num_ints = rng.gen_range(2..4);
+    let with_bounds_pair = rng.gen_bool(0.5);
+    let atoms: Vec<Atom> = (0..rng.gen_range(4..8))
+        .map(|_| {
+            let k = rng.gen_range(-4..5);
+            let (kind, x, y) = match rng.gen_range(0..if with_bounds_pair { 5 } else { 3 }) {
+                0 => (AtomKind::DiffLe, 0, 1),
+                1 => (AtomKind::DiffLe, 1, 0),
+                2 => (AtomKind::DiffGe, 0, 1),
+                3 => (AtomKind::LeConst, 0, 0),
+                _ => (AtomKind::GeConst, 0, 0),
+            };
+            Atom { kind, x, y, k }
+        })
+        .collect();
+    let total_bools = num_bools + atoms.len();
+    let clauses = (0..rng.gen_range(2..10))
+        .map(|_| {
+            (0..rng.gen_range(2..4))
+                .map(|_| (rng.gen_range(0..total_bools), rng.gen_bool(0.5)))
+                .collect()
+        })
+        .collect();
+    let units = if rng.gen_bool(0.3) {
+        vec![(rng.gen_range(0..total_bools), rng.gen_bool(0.5))]
+    } else {
+        Vec::new()
+    };
+    let bounds = (0..num_ints).map(|_| (0, rng.gen_range(3..15))).collect();
+    DiffInstance {
+        num_bools,
+        num_ints,
+        atoms,
+        clauses,
+        units,
+        bounds,
+    }
+}
+
 /// The difference constraint `x - y <= k` implied by assigning `value` to an
 /// atom's proxy, in normalized `(x, y, k)` form over `num_ints + 1` nodes
 /// (node `num_ints` is the implicit zero for the `*Const` kinds).

@@ -34,7 +34,8 @@ pub mod scenario;
 pub mod service;
 
 pub use diffsolver::{
-    brute_force_sat, build_model, random_instance, solve_with_smt, BuiltModel, DiffInstance,
+    brute_force_sat, build_model, crowded_instance, random_instance, solve_with_smt, BuiltModel,
+    DiffInstance,
 };
 pub use online::{
     batch_differential, check_trace, warm_cold_differential, BatchCheck, TraceCheck, WarmColdStats,

@@ -12,10 +12,16 @@
 //!   differential),
 //! * pushing a scope and adding constraints only ever *shrinks* the set,
 //! * popping the scope restores exactly the pre-push satisfiable set.
+//!
+//! The same questions are asked of instances whose atoms crowd onto one or
+//! two integer pairs, where most of the solver's work is theory
+//! implication rather than decision.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use testkit::{brute_force_sat, build_model, random_instance, DiffInstance};
+use testkit::{
+    brute_force_sat, build_model, crowded_instance, random_instance, solve_with_smt, DiffInstance,
+};
 use tsn_smt::{Lit, Model, SolveOptions};
 
 /// The satisfiable set of an instance according to the brute-force
@@ -41,17 +47,35 @@ fn solver_set(model: &mut Model, lits: &[Lit]) -> Vec<bool> {
 }
 
 /// [`solver_set`] under explicit solve options (e.g. a forced clause-DB
-/// reduction threshold). Satisfiable probes are re-verified against the
-/// model, so an unsound assignment fails here rather than passing silently.
+/// reduction threshold).
 fn solver_set_with(model: &mut Model, lits: &[Lit], options: SolveOptions) -> Vec<bool> {
-    (0..(1u32 << lits.len()))
+    probe_set(model, lits, &[], options).0
+}
+
+/// The satisfiable set with `fixed` assumed in front of every probe, plus
+/// the number of literals the theory implied over all probes. Satisfiable
+/// probes are re-verified against the model, so an unsound assignment fails
+/// here rather than passing silently.
+fn probe_set(
+    model: &mut Model,
+    lits: &[Lit],
+    fixed: &[Lit],
+    options: SolveOptions,
+) -> (Vec<bool>, u64) {
+    let mut implications = 0;
+    let set = (0..(1u32 << lits.len()))
         .map(|mask| {
-            let assumptions: Vec<Lit> = lits
+            let assumptions: Vec<Lit> = fixed
                 .iter()
-                .enumerate()
-                .map(|(b, &l)| if mask & (1 << b) != 0 { l } else { !l })
+                .copied()
+                .chain(
+                    lits.iter()
+                        .enumerate()
+                        .map(|(b, &l)| if mask & (1 << b) != 0 { l } else { !l }),
+                )
                 .collect();
             let outcome = model.solve_with_assumptions(&assumptions, options);
+            implications += model.last_stats().theory_implications;
             if let Some(assignment) = outcome.assignment() {
                 model
                     .verify(assignment)
@@ -59,7 +83,37 @@ fn solver_set_with(model: &mut Model, lits: &[Lit], options: SolveOptions) -> Ve
             }
             outcome.is_sat()
         })
-        .collect()
+        .collect();
+    (set, implications)
+}
+
+/// Adds six pigeons in five holes behind a fresh `gate` literal and returns
+/// the gate: assuming it forces enough conflicts for the Luby restarts (and,
+/// with a zero threshold, for actual clause deletion), while assuming its
+/// negation leaves the rest of the model as it was.
+fn gated_pigeonhole(m: &mut Model) -> Lit {
+    let gate = m.new_bool("gate").lit();
+    let vars: Vec<Vec<Lit>> = (0..6)
+        .map(|i| {
+            (0..5)
+                .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
+                .collect()
+        })
+        .collect();
+    for row in &vars {
+        let mut clause = vec![!gate];
+        clause.extend(row.iter().copied());
+        m.add_clause(clause);
+    }
+    for j in 0..5 {
+        let column: Vec<Lit> = vars.iter().map(|row| row[j]).collect();
+        for a in 0..column.len() {
+            for b in (a + 1)..column.len() {
+                m.add_clause([!column[a], !column[b]]);
+            }
+        }
+    }
+    gate
 }
 
 #[test]
@@ -179,27 +233,7 @@ fn forced_reduction_deletes_clauses_without_changing_verdicts() {
         ..SolveOptions::default()
     };
     let mut m = Model::new();
-    let gate = m.new_bool("gate").lit();
-    let vars: Vec<Vec<Lit>> = (0..6)
-        .map(|i| {
-            (0..5)
-                .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                .collect()
-        })
-        .collect();
-    for row in &vars {
-        let mut clause = vec![!gate];
-        clause.extend(row.iter().copied());
-        m.add_clause(clause);
-    }
-    for j in 0..5 {
-        let column: Vec<Lit> = vars.iter().map(|row| row[j]).collect();
-        for a in 0..column.len() {
-            for b in (a + 1)..column.len() {
-                m.add_clause([!column[a], !column[b]]);
-            }
-        }
-    }
+    let gate = gated_pigeonhole(&mut m);
     let open = m.solve_with_assumptions(&[!gate], forced);
     m.verify(open.assignment().expect("ungated model is satisfiable"))
         .unwrap();
@@ -261,4 +295,91 @@ fn warm_started_scoped_probing_agrees_with_cold() {
         assert_eq!(cold_verdicts, warm_verdicts);
         assert_eq!(cold_verdicts.0, cold_verdicts.2, "pop must restore verdict");
     }
+}
+
+#[test]
+fn crowded_pairs_keep_their_verdicts_under_theory_propagation() {
+    // Atoms crowded onto one or two pairs, as the stability staircase and
+    // the link orderings crowd them: asserting one atom decides several
+    // others, so the theory implies literals instead of leaving them to
+    // decisions. The verdicts must stay brute force's through assumptions,
+    // push/pop and forced clause-DB reduction. The gated pigeonhole makes
+    // the reduction real: assuming the gate restarts the search, and every
+    // restart compacts the clause database while the level-0 implications
+    // of the variable bounds hold theory reasons.
+    let forced = SolveOptions {
+        reduce_threshold: Some(0),
+        ..SolveOptions::default()
+    };
+    let mut rng = StdRng::seed_from_u64(0xC0_0DED);
+    // First the plain verdict, found by search rather than pinned by
+    // assumptions, over far more instances than the probes below can
+    // afford: this is where conflicts run through implied literals.
+    for round in 0..5000 {
+        let inst = crowded_instance(&mut rng);
+        assert_eq!(
+            solve_with_smt(&inst),
+            brute_force_sat(&inst),
+            "round {round}: {inst:?}"
+        );
+    }
+    let (mut implications, mut deleted, mut nontrivial) = (0u64, 0u64, 0usize);
+    for round in 0..25 {
+        let inst = crowded_instance(&mut rng);
+        let built = build_model(&inst);
+        let mut model = built.model;
+        let lits = built.lits;
+        let ints = built.ints;
+        let gate = gated_pigeonhole(&mut model);
+        let open = [!gate];
+
+        let pre = reference_set(&inst);
+        if pre.iter().any(|&s| s) && pre.iter().any(|&s| !s) {
+            nontrivial += 1;
+        }
+        for options in [SolveOptions::default(), forced] {
+            let (set, implied) = probe_set(&mut model, &lits, &open, options);
+            assert_eq!(
+                set, pre,
+                "round {round}: disagrees with brute force: {inst:?}"
+            );
+            implications += implied;
+        }
+        assert!(
+            model.solve_with_assumptions(&[gate], forced).is_unsat(),
+            "round {round}: the gated pigeonhole is unsatisfiable"
+        );
+        deleted += model.last_stats().deleted_clauses;
+
+        // One more bound on the crowded pair, inside a scope: the set can
+        // only shrink, and popping restores it.
+        model.push();
+        let k = rng.gen_range(-4..5);
+        let atom = if rng.gen_bool(0.5) {
+            model.diff_le(ints[0], ints[1], k)
+        } else {
+            model.diff_le(ints[1], ints[0], k)
+        };
+        model.assert_lit(atom);
+        let (inside, implied) = probe_set(&mut model, &lits, &open, forced);
+        implications += implied;
+        for (mask, (&now, &before)) in inside.iter().zip(pre.iter()).enumerate() {
+            assert!(
+                !now || before,
+                "round {round}: assignment {mask:#b} became satisfiable by ADDING a bound"
+            );
+        }
+        model.pop();
+        let (after, _) = probe_set(&mut model, &lits, &open, forced);
+        assert_eq!(
+            after, pre,
+            "round {round}: pop did not restore the set: {inst:?}"
+        );
+    }
+    assert!(
+        nontrivial >= 5,
+        "too few mixed-verdict instances ({nontrivial})"
+    );
+    assert!(implications > 0, "the theory implied nothing");
+    assert!(deleted > 0, "no reduction ran under the theory reasons");
 }

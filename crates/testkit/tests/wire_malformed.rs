@@ -728,6 +728,57 @@ fn negative_delays_are_rejected_at_every_boundary() {
     );
 }
 
+#[test]
+fn absurd_stage_counts_are_refused_before_anything_is_allocated() {
+    // Both synthesizers hand `stages` to `partition_into_stages`, which
+    // allocates one slice per stage before any solve. A request asking for
+    // 10^12 stages used to abort the daemon on a 24 TB allocation, which no
+    // error path can catch: the decoders must refuse it.
+    let problem = figure1_problem(LinkSpec::fast_ethernet(), Time::from_micros(5));
+    let absurd = SynthesisConfig {
+        stages: 1_000_000_000_000,
+        ..SynthesisConfig::default()
+    };
+    let service = Service::new(ServiceConfig::default());
+    for backend in [Backend::Auto, Backend::Monolithic, Backend::Partitioned] {
+        let line = Request {
+            id: 1,
+            trace: None,
+            body: RequestBody::Synthesize {
+                problem: problem.clone(),
+                config: Some(absurd.clone()),
+                backend,
+            },
+        }
+        .to_line();
+        let response = Response::parse_line(&service.handle_line(&line)).unwrap();
+        assert!(response.outcome.is_err(), "served: {line}");
+    }
+    let config = tsn_synthesis::wire::config_to_json(&absurd);
+    assert!(tsn_synthesis::wire::config_from_json(&config).is_err());
+    let online = OnlineConfig {
+        synthesis: absurd.clone(),
+        ..OnlineConfig::default()
+    };
+    assert!(
+        tsn_online::wire::online_config_from_json(&tsn_online::wire::online_config_to_json(
+            &online
+        ))
+        .is_err()
+    );
+    // Every stage count the repository itself uses still decodes.
+    for stages in [0, 1, 2, 5, 14] {
+        let config = SynthesisConfig {
+            stages,
+            ..SynthesisConfig::default()
+        };
+        let back =
+            tsn_synthesis::wire::config_from_json(&tsn_synthesis::wire::config_to_json(&config))
+                .unwrap();
+        assert_eq!(back.stages, stages);
+    }
+}
+
 /// A copy of `doc` with one member replaced (or appended).
 fn with_member(doc: &Json, key: &str, value: Json) -> Json {
     let Json::Obj(members) = doc else {
