@@ -21,6 +21,12 @@
 //! bounded: a document nested deeper than [`MAX_DEPTH`] is a typed
 //! [`JsonErrorKind::TooDeep`] error, never a stack overflow.
 //!
+//! Parsing and printing are linear in the length of the text. Both event
+//! loops parse every request line on their single loop thread, and a frame
+//! may be 16 MiB, so a string costs one scan: the parser copies each run of
+//! unescaped bytes between two escapes in one piece, and the escaper writes
+//! each run between two escaped characters with one `write_str`.
+//!
 //! # Example
 //!
 //! ```
@@ -318,11 +324,10 @@ impl Json {
     /// Returns a [`JsonError`] with the byte offset of the first problem;
     /// nesting past [`MAX_DEPTH`] is [`JsonErrorKind::TooDeep`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError {
                 kind: JsonErrorKind::Trailing,
                 what: "trailing characters after the document".to_string(),
@@ -393,17 +398,27 @@ impl fmt::Display for Json {
 /// Propagates errors of the underlying writer.
 pub fn write_json_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+    // Every byte that needs escaping is ASCII, and an ASCII byte is always a
+    // char boundary, so the text between two of them goes out in one piece.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    out.write_str(&s[run..])?;
     out.write_char('"')
 }
 
@@ -447,7 +462,8 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
 
 /// Parses one value; `depth` is the number of containers already open
 /// around it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(error("unexpected end of input", *pos)),
@@ -459,7 +475,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -469,7 +485,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -491,10 +507,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -525,17 +541,29 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Parses one string token. `text[*pos..]` must start on a char boundary.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash in one piece.
+        // Both are ASCII, so the run ends on a char boundary; every escape
+        // below consumes ASCII only, so the next run starts on one too.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(error("unterminated string", *pos)),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -579,15 +607,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(error("invalid escape", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input came from &str, so the
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| error("invalid utf-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -844,6 +863,255 @@ mod tests {
             Some("\u{fffd}A")
         );
         assert!(Json::parse(r#""\uD83"#).is_err());
+    }
+
+    /// The escaper as it was before it wrote runs: one `write_char` per
+    /// character. The run-wise [`write_json_escaped`] must stay
+    /// byte-identical to it.
+    fn escape_charwise(s: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// SplitMix64: a seeded stream for the random-string tests (this crate
+    /// has no dependencies, `rand` included).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+    }
+
+    /// Characters the escaper treats differently: quotes, backslashes,
+    /// every control character, plain ASCII, DEL, and one- to four-byte
+    /// UTF-8 at the edges of each width.
+    fn alphabet() -> Vec<char> {
+        let mut chars: Vec<char> = (0u32..0x20).filter_map(char::from_u32).collect();
+        chars.extend([
+            '"',
+            '\\',
+            '/',
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '\u{7f}',
+            '\u{80}',
+            'é',
+            '\u{7ff}',
+            '\u{800}',
+            '↦',
+            '\u{fffd}',
+            '\u{ffff}',
+            '\u{10000}',
+            '\u{1F600}',
+            '\u{10FFFF}',
+        ]);
+        chars
+    }
+
+    fn random_string(rng: &mut Rng, chars: &[char]) -> String {
+        let len = rng.below(40);
+        (0..len).map(|_| *rng.pick(chars)).collect()
+    }
+
+    #[test]
+    fn run_wise_escaper_matches_the_charwise_reference() {
+        let chars = alphabet();
+        // Escapes at both ends of a run, at both ends of the string, next
+        // to each other and next to multibyte characters.
+        let mut cases: Vec<String> = [
+            "",
+            "\"",
+            "\\",
+            "\"plain\"",
+            "\\\\\"\"",
+            "é\n",
+            "\n\u{1F600}",
+            "\u{1F600}\u{0}\u{1F600}",
+            "\u{1f}\u{20}\u{7f}",
+            "run\tof\rescapes\u{8}\u{c}",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        cases.push(chars.iter().collect());
+        let mut rng = Rng(0x5EED);
+        cases.extend((0..5_000).map(|_| random_string(&mut rng, &chars)));
+        for s in &cases {
+            let expected = escape_charwise(s);
+            assert_eq!(json_escape(s), expected, "{s:?}");
+            assert_eq!(Json::Str(s.clone()).to_string(), expected, "{s:?}");
+            assert_eq!(
+                Json::obj([(s.as_str(), Json::Null)]).to_string(),
+                format!("{{{expected}:null}}"),
+                "{s:?} as a key"
+            );
+        }
+    }
+
+    /// One escaped JSON string token built piece by piece, with the string
+    /// it must decode to.
+    fn random_escaped(rng: &mut Rng, chars: &[char]) -> (String, String) {
+        let mut text = String::from('"');
+        let mut decoded = String::new();
+        for _ in 0..rng.below(24) {
+            match rng.below(7) {
+                // A raw character. The parser takes control characters
+                // verbatim; only the quote and the backslash must be escaped.
+                0 | 1 => {
+                    let c = *rng.pick(chars);
+                    if c == '"' || c == '\\' {
+                        text.push('\\');
+                    }
+                    text.push(c);
+                    decoded.push(c);
+                }
+                2 => {
+                    let (escape, c) = *rng.pick(&[
+                        ("\\\"", '"'),
+                        ("\\\\", '\\'),
+                        ("\\/", '/'),
+                        ("\\n", '\n'),
+                        ("\\r", '\r'),
+                        ("\\t", '\t'),
+                        ("\\b", '\u{8}'),
+                        ("\\f", '\u{c}'),
+                    ]);
+                    text.push_str(escape);
+                    decoded.push(c);
+                }
+                // A `\u` escape of a scalar outside the surrogate range, in
+                // either hex case.
+                3 => {
+                    let code = match rng.below(2) {
+                        0 => rng.below(0xD800) as u32,
+                        _ => 0xE000 + rng.below(0x2000) as u32,
+                    };
+                    let hex = format!("{code:04x}");
+                    text.push_str("\\u");
+                    text.push_str(&if rng.below(2) == 0 {
+                        hex
+                    } else {
+                        hex.to_uppercase()
+                    });
+                    decoded.push(char::from_u32(code).unwrap());
+                }
+                // A surrogate pair: one astral scalar.
+                4 => {
+                    let code = 0x10000 + rng.below(0x10_0000) as u32;
+                    let high = 0xD800 + ((code - 0x10000) >> 10);
+                    let low = 0xDC00 + ((code - 0x10000) & 0x3FF);
+                    text.push_str(&format!("\\u{high:04X}\\u{low:04x}"));
+                    decoded.push(char::from_u32(code).unwrap());
+                }
+                // A lone high surrogate, closed by a character that cannot
+                // pair with it (a plain one, or a `\u` escape of one).
+                5 => {
+                    let high = 0xD800 + rng.below(0x400) as u32;
+                    text.push_str(&format!("\\u{high:04x}"));
+                    decoded.push('\u{fffd}');
+                    if rng.below(2) == 0 {
+                        text.push('x');
+                        decoded.push('x');
+                    } else {
+                        text.push_str("\\u0041");
+                        decoded.push('A');
+                    }
+                }
+                // A lone low surrogate.
+                _ => {
+                    let low = 0xDC00 + rng.below(0x400) as u32;
+                    text.push_str(&format!("\\u{low:04x}"));
+                    decoded.push('\u{fffd}');
+                }
+            }
+        }
+        text.push('"');
+        (text, decoded)
+    }
+
+    #[test]
+    fn escaped_strings_decode_and_round_trip() {
+        let chars = alphabet();
+        let mut cases = vec![
+            (r#""😀""#.to_string(), "\u{1F600}".to_string()),
+            (r#""\uD83D""#.to_string(), "\u{fffd}".to_string()),
+            (
+                r#""\uDE00\uD83D""#.to_string(),
+                "\u{fffd}\u{fffd}".to_string(),
+            ),
+            (r#""a😀b""#.to_string(), "a\u{1F600}b".to_string()),
+        ];
+        let mut rng = Rng(0xE5C);
+        cases.extend((0..5_000).map(|_| random_escaped(&mut rng, &chars)));
+        for (text, decoded) in &cases {
+            // parse -> print -> parse: the decoded string survives, and the
+            // printed form is a fixed point.
+            let doc = Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(doc.as_str(), Some(decoded.as_str()), "{text}");
+            let printed = doc.to_string();
+            assert_eq!(printed, escape_charwise(decoded), "{text}");
+            let again = Json::parse(&printed).unwrap();
+            assert_eq!(again, doc, "{printed}");
+            assert_eq!(again.to_string(), printed);
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (text, at) in [
+            (r#""abc"#, 4),
+            ("\"é↦", 6),
+            (r#""ab\q""#, 4),
+            (r#""ab\"#, 4),
+            (r#""ab\u12"#, 5),
+            (r#""ab\u12g4""#, 5),
+            (r#""é\u00"#, 5),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!((err.kind, err.at), (JsonErrorKind::Syntax, at), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_linear_time() {
+        // Parsing used to re-validate the rest of the input once per
+        // character: 7.5 s for this document even in a release build.
+        let content = "abcdeé↦\u{1F600}\\\"".repeat(1 << 16);
+        assert_eq!(content.len(), 1 << 20);
+        let text = json_escape(&content);
+        let started = std::time::Instant::now();
+        let doc = Json::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(doc.as_str(), Some(content.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "a {} B string took {elapsed:?} to parse",
+            text.len()
+        );
     }
 
     #[test]

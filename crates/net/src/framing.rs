@@ -335,4 +335,37 @@ mod tests {
         fr.fill(&mut src);
         assert_eq!(fr.next_line(), Err(FrameTooLong { limit: 4 }));
     }
+
+    #[test]
+    #[ignore = "release-only: a 16 MiB document"]
+    fn the_largest_frame_parses_and_prints_in_linear_time() {
+        // One string member filling a whole frame is the worst line either
+        // event loop will parse on its loop thread. Quadratic string
+        // handling would take about half an hour on it.
+        use crate::json::Json;
+        use std::time::{Duration, Instant};
+        let unit = "abcé↦\u{1F600}\\\"\\\\";
+        assert_eq!(unit.len(), 16);
+        let body = MAX_LINE_BYTES - 2;
+        let text = format!(
+            "\"{}{}\"",
+            unit.repeat(body / unit.len()),
+            "x".repeat(body % unit.len())
+        );
+        assert_eq!(text.len(), MAX_LINE_BYTES);
+
+        let started = Instant::now();
+        let doc = Json::parse(&text).expect("one valid string");
+        let parse = started.elapsed();
+        let started = Instant::now();
+        let printed = doc.to_string();
+        let print = started.elapsed();
+        assert_eq!(printed, text);
+        for (what, took) in [("parse", parse), ("print", print)] {
+            assert!(
+                took < Duration::from_secs(2),
+                "{what} of a {MAX_LINE_BYTES} B frame took {took:?}"
+            );
+        }
+    }
 }

@@ -319,8 +319,15 @@ impl Router {
     }
 
     /// Records tenant placements from successful lifecycle responses, so
-    /// drains know exactly which tenants live on which shard.
+    /// drains know exactly which tenants live on which shard. Only
+    /// `open_tenant` and `close_tenant` move a tenant; every other
+    /// response goes back unread.
     fn note_tenant_lifecycle(&self, rtype: &str, tenant: &str, shard: usize, response: &str) {
+        let opened = match rtype {
+            "open_tenant" => true,
+            "close_tenant" => false,
+            _ => return,
+        };
         let succeeded = Json::parse(response.trim())
             .map(|doc| doc.get("ok").is_some())
             .unwrap_or(false);
@@ -328,14 +335,10 @@ impl Router {
             return;
         }
         let mut routing = self.routing.lock().expect("routing lock");
-        match rtype {
-            "open_tenant" => {
-                routing.homes.insert(tenant.to_string(), shard);
-            }
-            "close_tenant" => {
-                routing.homes.remove(tenant);
-            }
-            _ => {}
+        if opened {
+            routing.homes.insert(tenant.to_string(), shard);
+        } else {
+            routing.homes.remove(tenant);
         }
     }
 

@@ -97,9 +97,10 @@
 //! JSON object per line. Like `metrics`, `health` is a live snapshot:
 //! excluded from byte-level differentials and never cached.
 
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
-use tsn_net::json::{bad, get_bool, get_i64, get_str, Json, JsonError};
+use tsn_net::json::{bad, get_bool, get_i64, get_str, write_json_escaped, Json, JsonError};
 use tsn_net::wire::{delay_from_json, time_to_json, topology_from_json, topology_to_json};
 use tsn_net::{Time, Topology};
 use tsn_online::wire::{
@@ -503,9 +504,37 @@ impl Response {
         Json::Obj(pairs)
     }
 
-    /// The envelope as one wire line (no trailing newline).
+    /// The envelope as one wire line (no trailing newline): the text of
+    /// [`to_json`](Response::to_json), printed without copying the payload
+    /// into a fresh tree first.
     pub fn to_line(&self) -> String {
-        self.to_json().to_string()
+        let mut line = String::new();
+        self.write_line(&mut line)
+            .expect("writing to a String cannot fail");
+        line
+    }
+
+    fn write_line(&self, out: &mut String) -> fmt::Result {
+        write!(out, "{{\"id\":{}", self.id)?;
+        if let Some(trace) = self.trace {
+            write!(out, ",\"trace\":{trace}")?;
+        }
+        write!(
+            out,
+            ",\"cached\":{},\"elapsed_us\":{}",
+            self.cached, self.elapsed_us
+        )?;
+        if let Some(ms) = self.retry_after_ms {
+            write!(out, ",\"retry_after_ms\":{ms}")?;
+        }
+        match &self.outcome {
+            Ok(payload) => write!(out, ",\"ok\":{payload}")?,
+            Err(message) => {
+                out.push_str(",\"error\":");
+                write_json_escaped(out, message)?;
+            }
+        }
+        out.write_char('}')
     }
 
     /// Decodes an envelope.
@@ -832,8 +861,23 @@ mod tests {
                 retry_after_ms: None,
                 outcome: Err("tenant \"x\" unknown\nline2".to_string()),
             },
+            shed_response(11, Some(-4), "overloaded: 9 jobs queued".to_string(), 100),
+            Response {
+                id: -1,
+                trace: None,
+                cached: false,
+                elapsed_us: 0,
+                retry_after_ms: Some(0),
+                outcome: Ok(Json::obj([
+                    ("type", Json::from("report")),
+                    ("name", Json::from("ctl\u{1}\t\"é\u{1F600}\\")),
+                    ("nested", Json::Arr(vec![Json::Null, Json::Float(2.0)])),
+                ])),
+            },
         ] {
+            // The line printed by reference is the envelope tree's text.
             let line = response.to_line();
+            assert_eq!(line, response.to_json().to_string());
             assert!(!line.contains('\n'));
             let back = Response::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line);

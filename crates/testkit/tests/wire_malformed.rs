@@ -779,6 +779,76 @@ fn absurd_stage_counts_are_refused_before_anything_is_allocated() {
     }
 }
 
+#[test]
+fn a_four_mebibyte_string_member_is_answered_in_linear_time() {
+    // The parser used to re-validate the rest of the line once per string
+    // character. Both event loops parse on their loop thread, so one line
+    // like this stalled every connection of a daemon or a router for tens
+    // of minutes. Now it is a typed error within a few seconds even in a
+    // debug build.
+    use std::time::{Duration, Instant};
+    const BOUND: Duration = Duration::from_secs(5);
+    let backend = "aé\"↦\\".repeat(1 << 19);
+    assert_eq!(backend.len(), 4 << 20);
+    let envelope = Request {
+        id: 5,
+        trace: Some(9),
+        body: RequestBody::Synthesize {
+            problem: figure1_problem(LinkSpec::fast_ethernet(), Time::from_micros(5)),
+            config: None,
+            backend: Backend::Auto,
+        },
+    }
+    .to_json();
+    let request = envelope.get("request").expect("envelope has a body");
+    let line = with_member(
+        &envelope,
+        "request",
+        with_member(request, "backend", Json::from(backend)),
+    )
+    .to_string();
+    let answered = |what: &str, started: Instant, response: &str| {
+        let took = started.elapsed();
+        let response = Response::parse_line(response).expect("a typed response");
+        assert_eq!((response.id, response.trace), (5, Some(9)), "{what}");
+        let reason = response.outcome.expect_err("an unknown backend is refused");
+        assert!(reason.contains("unknown backend"), "{what}");
+        assert!(took < BOUND, "{what} took {took:?} to answer");
+    };
+
+    let service = Service::new(ServiceConfig::default());
+    let started = Instant::now();
+    answered("the daemon", started, &service.handle_line(&line));
+
+    // The router parses the line, hashes its body, forwards it to the shard
+    // and relays the shard's answer.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a shard");
+    let shard_addr = listener.local_addr().expect("shard address").to_string();
+    let router = tsn_router::Router::new(tsn_router::RouterConfig {
+        shards: vec![shard_addr],
+    })
+    .expect("a one-shard router");
+    std::thread::scope(|scope| {
+        let shard = scope.spawn(|| tsn_service::serve(&service, listener));
+        let started = Instant::now();
+        answered("the router", started, &router.handle_line(&line));
+        let shutdown = Request {
+            id: 6,
+            trace: None,
+            body: RequestBody::Shutdown,
+        }
+        .to_line();
+        assert!(Response::parse_line(&router.handle_line(&shutdown))
+            .expect("a typed response")
+            .outcome
+            .is_ok());
+        shard
+            .join()
+            .expect("shard thread")
+            .expect("shard accept loop");
+    });
+}
+
 /// A copy of `doc` with one member replaced (or appended).
 fn with_member(doc: &Json, key: &str, value: Json) -> Json {
     let Json::Obj(members) = doc else {
