@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use tsn_control::{PiecewiseLinearBound, StabilitySegment};
-use tsn_net::json::{Json, JsonError};
+use tsn_net::json::{echo, Json, JsonError};
 use tsn_net::wire::{delay_from_json, time_from_json, time_to_json};
 use tsn_net::{LinkId, NodeId, Route, Time};
 
@@ -403,7 +403,7 @@ pub fn route_strategy_from_json(json: &Json) -> Result<RouteStrategy, JsonError>
             max_hops: get_usize(json, "max_hops")?,
             max_routes: get_usize(json, "max_routes")?,
         }),
-        other => Err(bad(format!("unknown route strategy {other:?}"))),
+        other => Err(bad(format!("unknown route strategy {}", echo(other)))),
     }
 }
 
@@ -429,7 +429,7 @@ pub fn mode_from_json(json: &Json) -> Result<ConstraintMode, JsonError> {
             granularity: time_from_json(json.field("granularity")?)?,
         }),
         "deadline_only" => Ok(ConstraintMode::DeadlineOnly),
-        other => Err(bad(format!("unknown constraint mode {other:?}"))),
+        other => Err(bad(format!("unknown constraint mode {}", echo(other)))),
     }
 }
 

@@ -110,6 +110,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// `value` Debug-quoted for an error message: whole when it is at most 64
+/// bytes long, else its first 64 bytes (cut back to a char boundary) and its
+/// length. Errors are answered on the wire and kept by logs, so what they
+/// quote of a request must not grow with it.
+pub fn echo(value: &str) -> String {
+    const ECHO_BYTES: usize = 64;
+    if value.len() <= ECHO_BYTES {
+        return format!("{value:?}");
+    }
+    let mut end = ECHO_BYTES;
+    while !value.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{:?}… ({} bytes)", &value[..end], value.len())
+}
+
 /// Builds a decoder error (shared by every `from_json` in the workspace).
 pub fn bad(what: impl Into<String>) -> JsonError {
     JsonError {
@@ -547,12 +563,13 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        // Copy everything up to the next quote or backslash in one piece.
-        // Both are ASCII, so the run ends on a char boundary; every escape
-        // below consumes ASCII only, so the next run starts on one too.
+        // Copy everything up to the next quote, backslash or control
+        // character in one piece. All three are ASCII, so the run ends on a
+        // char boundary; every escape below consumes ASCII only, so the next
+        // run starts on one too.
         let run = bytes[*pos..]
             .iter()
-            .position(|&b| b == b'"' || b == b'\\')
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
             .unwrap_or(bytes.len() - *pos);
         out.push_str(&text[*pos..*pos + run]);
         *pos += run;
@@ -562,6 +579,8 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
                 return Ok(out);
             }
+            // JSON admits U+0000–U+001F only escaped.
+            Some(&b) if b < 0x20 => return Err(error("control character in string", *pos)),
             Some(_) => {
                 // The run stopped at a backslash.
                 *pos += 1;
@@ -617,8 +636,14 @@ fn hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
     let hex = bytes
         .get(at..at + 4)
         .ok_or_else(|| error("truncated \\u escape", at))?;
-    let hex = std::str::from_utf8(hex).map_err(|_| error("invalid \\u escape", at))?;
-    u32::from_str_radix(hex, 16).map_err(|_| error("invalid \\u escape", at))
+    // Exactly four ASCII hex digits: `u32::from_str_radix` would also take
+    // a leading `+`.
+    hex.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| error("invalid \\u escape", at))?;
+        Ok(code << 4 | digit)
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
@@ -979,14 +1004,19 @@ mod tests {
         let mut decoded = String::new();
         for _ in 0..rng.below(24) {
             match rng.below(7) {
-                // A raw character. The parser takes control characters
-                // verbatim; only the quote and the backslash must be escaped.
+                // A raw character. The quote and the backslash take a
+                // backslash; control characters, which the parser refuses
+                // raw, take a `\u` escape.
                 0 | 1 => {
                     let c = *rng.pick(chars);
-                    if c == '"' || c == '\\' {
-                        text.push('\\');
+                    if c < ' ' {
+                        text.push_str(&format!("\\u{:04x}", u32::from(c)));
+                    } else {
+                        if c == '"' || c == '\\' {
+                            text.push('\\');
+                        }
+                        text.push(c);
                     }
-                    text.push(c);
                     decoded.push(c);
                 }
                 2 => {
@@ -1090,10 +1120,47 @@ mod tests {
             (r#""ab\u12"#, 5),
             (r#""ab\u12g4""#, 5),
             (r#""é\u00"#, 5),
+            // Four hex digits and nothing else: `u32::from_str_radix` takes
+            // a leading sign, and `\u+041` used to parse as "A".
+            (r#""ab\u+041""#, 5),
+            (r#""ab\u-041""#, 5),
+            (r#""ab\u 041""#, 5),
+            (r#""\uD83D\u+DE00""#, 9),
         ] {
             let err = Json::parse(text).unwrap_err();
             assert_eq!((err.kind, err.at), (JsonErrorKind::Syntax, at), "{text}");
         }
+    }
+
+    #[test]
+    fn echo_quotes_at_most_64_bytes() {
+        assert_eq!(echo("abc"), r#""abc""#);
+        assert_eq!(echo(&"x".repeat(64)), format!("{:?}", "x".repeat(64)));
+        let long = "é".repeat(40);
+        assert_eq!(echo(&long), format!("{:?}… (80 bytes)", "é".repeat(32)));
+        // Byte 64 falls inside a character: the cut moves back to 63.
+        let odd = format!("a{long}");
+        let kept = format!("a{}", "é".repeat(31));
+        assert_eq!(echo(&odd), format!("{kept:?}… (81 bytes)"));
+    }
+
+    #[test]
+    fn raw_control_characters_are_refused() {
+        for code in 0..0x20u32 {
+            let c = char::from_u32(code).unwrap();
+            let text = format!("\"ab{c}cd\"");
+            let err = Json::parse(&text).unwrap_err();
+            assert_eq!((err.kind, err.at), (JsonErrorKind::Syntax, 3), "{code:#x}");
+            // Escaped, the same character is fine.
+            let escaped = format!("\"ab{}cd\"", json_escape(&c.to_string()).trim_matches('"'));
+            let doc = Json::parse(&escaped).unwrap();
+            assert_eq!(doc.as_str(), Some(format!("ab{c}cd").as_str()), "{code:#x}");
+        }
+        // Unicode's other control characters need no escape.
+        assert_eq!(
+            Json::parse("\"\u{7f}\u{85}\"").unwrap().as_str(),
+            Some("\u{7f}\u{85}")
+        );
     }
 
     #[test]

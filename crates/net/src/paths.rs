@@ -5,6 +5,16 @@
 //! the paper's *route subset* heuristic (Section V-C1) keeps only the first
 //! `K` shortest routes of each control application, while the basic solution
 //! considers all simple routes.
+//!
+//! At scale the route subset is most of the work in front of the solver:
+//! Yen's algorithm runs one breadth-first search per spur node, about 21
+//! per application at `K` = 4. Each search is therefore proportional to the
+//! switch fabric, not to the whole graph: switches are expanded over a
+//! switch-only adjacency that the topology builds on the first search, an
+//! end-station destination is reached through its one attachment switch,
+//! and the searches of one call share their marks, predecessors and queue.
+//! The routes are those of a plain BFS over every node; the unit tests hold
+//! them to the previous search on the generated fat-tree instances.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -44,8 +54,9 @@ impl Topology {
     /// arguments.
     pub fn shortest_route(&self, source: NodeId, destination: NodeId) -> Result<Route, NetError> {
         self.check_route_endpoints(source, destination)?;
+        let mut search = Search::new(self.node_count());
         let nodes = self
-            .constrained_shortest(source, destination, &[], &[])
+            .constrained_shortest(&mut search, source, destination, &[], &[])
             .ok_or(NetError::NoRoute {
                 source,
                 destination,
@@ -74,8 +85,15 @@ impl Topology {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let first = self.shortest_route(source, destination)?;
-        let mut result: Vec<Route> = vec![first];
+        // One search state serves every spur search of this call.
+        let mut search = Search::new(self.node_count());
+        let first = self
+            .constrained_shortest(&mut search, source, destination, &[], &[])
+            .ok_or(NetError::NoRoute {
+                source,
+                destination,
+            })?;
+        let mut result: Vec<Route> = vec![self.route_from_nodes(&first)?];
         // Candidate set ordered by (hop count, node sequence) for determinism.
         let mut candidates: BTreeSet<(usize, Vec<NodeId>)> = BTreeSet::new();
 
@@ -98,9 +116,13 @@ impl Topology {
                 // Nodes of the root (except the spur node) must not reappear.
                 let banned_nodes: Vec<NodeId> = root[..i].to_vec();
 
-                if let Some(spur) =
-                    self.constrained_shortest(spur_node, destination, &banned_nodes, &banned_next)
-                {
+                if let Some(spur) = self.constrained_shortest(
+                    &mut search,
+                    spur_node,
+                    destination,
+                    &banned_nodes,
+                    &banned_next,
+                ) {
                     let mut total = root.clone();
                     total.extend_from_slice(&spur[1..]);
                     // The concatenation might still repeat a node if the spur
@@ -126,54 +148,71 @@ impl Topology {
     /// BFS shortest path avoiding `banned_nodes` entirely and avoiding the
     /// given first hops out of `source`.
     ///
-    /// Only switches are ever enqueued: an end station cannot forward, so
-    /// expanding it could never reach anything, and on a fabric with a dozen
-    /// end stations per switch they are most of the graph. The search stops
-    /// the moment the destination is discovered — its predecessor chain is
-    /// fixed by then — and switches are still visited in egress-port order,
-    /// so the path is the one a plain BFS over every node returns.
+    /// The source's whole port list is scanned: it may be an end station,
+    /// and the banned first hops are its ports. Every other node expanded is
+    /// a switch, and it is expanded over the topology's switch adjacency
+    /// (`Fabric`: its switch neighbours in egress-port order), so the
+    /// dozens of end-station ports of an edge switch are never looked at.
+    /// An end-station destination hangs off exactly one switch
+    /// ([`NetError::EndStationDegree`]), the only node that can discover it,
+    /// so the search stops when that switch is discovered: its predecessor
+    /// chain is fixed by then. A switch destination stops the search when it
+    /// is discovered itself. Switches are visited in the same order as a
+    /// plain BFS over every node, so the path is the one that BFS returns.
     fn constrained_shortest(
         &self,
+        search: &mut Search,
         source: NodeId,
         destination: NodeId,
         banned_nodes: &[NodeId],
         banned_first_hops: &[NodeId],
     ) -> Option<Vec<NodeId>> {
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut seen = vec![false; self.node_count()];
+        search.start();
         for &b in banned_nodes {
-            seen[b.index()] = true;
+            search.discover(b, b);
         }
-        let mut queue = VecDeque::new();
-        seen[source.index()] = true;
-        queue.push_back(source);
-        'search: while let Some(n) = queue.pop_front() {
-            for &link in self.out_links(n) {
-                let next = self.link(link).target();
-                if seen[next.index()] || (n == source && banned_first_hops.contains(&next)) {
-                    continue;
-                }
-                seen[next.index()] = true;
-                prev[next.index()] = Some(n);
-                if next == destination {
-                    break 'search;
-                }
-                if self.is_forwarding_node(next) {
-                    queue.push_back(next);
-                }
+        search.discover(source, source);
+        if search.is_seen(destination) {
+            return None;
+        }
+        // The switch whose discovery ends the search.
+        let goal = if self.is_forwarding_node(destination) {
+            destination
+        } else {
+            match self.out_links(destination) {
+                [port] => self.link(*port).target(),
+                _ => return None,
+            }
+        };
+        for &link in self.out_links(source) {
+            let next = self.link(link).target();
+            if banned_first_hops.contains(&next) || !search.discover(next, source) {
+                continue;
+            }
+            if next == destination || next == goal {
+                return Some(search.path(source, next, destination));
+            }
+            if self.is_forwarding_node(next) {
+                search.queue.push_back(next);
             }
         }
-        // Every discovered node has a predecessor, so the chain from a
-        // discovered destination ends at the source.
-        prev[destination.index()]?;
-        let mut nodes = vec![destination];
-        let mut cur = destination;
-        while let Some(p) = prev[cur.index()] {
-            nodes.push(p);
-            cur = p;
+        // The goal is the source or banned: nothing else can discover it.
+        if search.is_seen(goal) {
+            return None;
         }
-        nodes.reverse();
-        Some(nodes)
+        let fabric = self.fabric();
+        while let Some(n) = search.queue.pop_front() {
+            for &next in fabric.switches_after(n) {
+                if !search.discover(next, n) {
+                    continue;
+                }
+                if next == goal {
+                    return Some(search.path(source, goal, destination));
+                }
+                search.queue.push_back(next);
+            }
+        }
+        None
     }
 
     /// Enumerates all simple routes from `source` to `destination` whose hop
@@ -269,10 +308,188 @@ impl Topology {
     }
 }
 
+/// The state of one breadth-first search, kept across the searches of one
+/// [`Topology::k_shortest_routes`] call instead of allocated per search.
+struct Search {
+    /// `stamp[n] == epoch` marks node `n` seen by the current search, so a
+    /// new search clears every mark by bumping `epoch`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The predecessor of every node the current search discovered; stale
+    /// entries of earlier searches are never read.
+    prev: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+}
+
+impl Search {
+    fn new(node_count: usize) -> Self {
+        Search {
+            stamp: vec![0; node_count],
+            epoch: 0,
+            prev: vec![NodeId::default(); node_count],
+            queue: VecDeque::new(),
+        }
+    }
+
+    fn start(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.queue.clear();
+    }
+
+    fn is_seen(&self, node: NodeId) -> bool {
+        self.stamp[node.index()] == self.epoch
+    }
+
+    /// Marks `node` seen with predecessor `from`; `false` if it already was.
+    fn discover(&mut self, node: NodeId, from: NodeId) -> bool {
+        if self.is_seen(node) {
+            return false;
+        }
+        self.stamp[node.index()] = self.epoch;
+        self.prev[node.index()] = from;
+        true
+    }
+
+    /// The discovered path from `source` to `reached`, extended by
+    /// `destination` when that is another node (the end station behind
+    /// `reached`).
+    fn path(&self, source: NodeId, reached: NodeId, destination: NodeId) -> Vec<NodeId> {
+        let mut nodes = vec![destination];
+        if reached != destination {
+            nodes.push(reached);
+        }
+        let mut cur = reached;
+        while cur != source {
+            cur = self.prev[cur.index()];
+            nodes.push(cur);
+        }
+        nodes.reverse();
+        nodes
+    }
+}
+
+/// The route search as it was before the switch adjacency and the shared
+/// search state: the references the tests hold the search above to.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeSet, VecDeque};
+
+    use crate::{NetError, NodeId, Route, Topology};
+
+    /// BFS over every out-link of every expanded node, two fresh vectors
+    /// per call.
+    pub(super) fn constrained_shortest(
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+        banned_nodes: &[NodeId],
+        banned_first_hops: &[NodeId],
+    ) -> Option<Vec<NodeId>> {
+        let mut prev: Vec<Option<NodeId>> = vec![None; topology.node_count()];
+        let mut seen = vec![false; topology.node_count()];
+        for &b in banned_nodes {
+            seen[b.index()] = true;
+        }
+        let mut queue = VecDeque::new();
+        seen[source.index()] = true;
+        queue.push_back(source);
+        'search: while let Some(n) = queue.pop_front() {
+            for &link in topology.out_links(n) {
+                let next = topology.link(link).target();
+                if seen[next.index()] || (n == source && banned_first_hops.contains(&next)) {
+                    continue;
+                }
+                seen[next.index()] = true;
+                prev[next.index()] = Some(n);
+                if next == destination {
+                    break 'search;
+                }
+                if topology.is_forwarding_node(next) {
+                    queue.push_back(next);
+                }
+            }
+        }
+        prev[destination.index()]?;
+        let mut nodes = vec![destination];
+        let mut cur = destination;
+        while let Some(p) = prev[cur.index()] {
+            nodes.push(p);
+            cur = p;
+        }
+        nodes.reverse();
+        Some(nodes)
+    }
+
+    /// Yen's algorithm over [`constrained_shortest`].
+    pub(super) fn k_shortest_routes(
+        topology: &Topology,
+        source: NodeId,
+        destination: NodeId,
+        k: usize,
+    ) -> Result<Vec<Route>, NetError> {
+        topology.check_route_endpoints(source, destination)?;
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let first = constrained_shortest(topology, source, destination, &[], &[]).ok_or(
+            NetError::NoRoute {
+                source,
+                destination,
+            },
+        )?;
+        let mut result: Vec<Route> = vec![topology.route_from_nodes(&first)?];
+        let mut candidates: BTreeSet<(usize, Vec<NodeId>)> = BTreeSet::new();
+
+        while result.len() < k {
+            let last = result.last().expect("result never empty").clone();
+            for i in 0..last.nodes().len() - 1 {
+                let spur_node = last.nodes()[i];
+                let root: Vec<NodeId> = last.nodes()[..=i].to_vec();
+                let mut banned_next: Vec<NodeId> = Vec::new();
+                for r in &result {
+                    if r.nodes().len() > i && r.nodes()[..=i] == root[..] {
+                        banned_next.push(r.nodes()[i + 1]);
+                    }
+                }
+                let banned_nodes: Vec<NodeId> = root[..i].to_vec();
+                if let Some(spur) = constrained_shortest(
+                    topology,
+                    spur_node,
+                    destination,
+                    &banned_nodes,
+                    &banned_next,
+                ) {
+                    let mut total = root.clone();
+                    total.extend_from_slice(&spur[1..]);
+                    let mut unique = BTreeSet::new();
+                    if total.iter().all(|n| unique.insert(*n)) {
+                        candidates.insert((total.len(), total));
+                    }
+                }
+            }
+            let Some((_, nodes)) = candidates.iter().next().cloned() else {
+                break;
+            };
+            candidates.remove(&(nodes.len(), nodes.clone()));
+            if result.iter().any(|r| r.nodes() == nodes.as_slice()) {
+                continue;
+            }
+            result.push(topology.route_from_nodes(&nodes)?);
+        }
+        Ok(result)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinkSpec, NodeKind};
+    use crate::{builders, LinkSpec, NodeKind};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A diamond with a long detour:
     ///
@@ -436,5 +653,160 @@ mod tests {
                 assert_ne!(a[i], a[j]);
             }
         }
+    }
+
+    /// Small networks of every builder shape, with end stations attached.
+    fn small_networks() -> Vec<Topology> {
+        let fast = LinkSpec::fast_ethernet();
+        let with_stations = |(topology, switches): (Topology, Vec<NodeId>), count, seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            builders::attach_end_stations(topology, &switches, count, fast, &mut rng).topology
+        };
+        let (fat_tree, layers) = builders::fat_tree(4, fast);
+        vec![
+            builders::figure1_example(fast).topology,
+            with_stations(builders::switch_ring(8, fast), 4, 8),
+            with_stations(builders::switch_grid(3, 3, fast), 4, 33),
+            with_stations((fat_tree, layers.edge), 12, 20),
+        ]
+    }
+
+    #[test]
+    fn constrained_shortest_matches_the_reference_under_random_bans() {
+        // Every ordered pair of nodes, switches and end stations alike, with
+        // no bans and with random banned nodes and first hops: the shapes
+        // Yen's spur searches produce, and more.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut compared = 0usize;
+        for t in small_networks() {
+            let mut search = Search::new(t.node_count());
+            let nodes: Vec<NodeId> = t.nodes().map(|n| n.id()).collect();
+            for &source in &nodes {
+                for &destination in &nodes {
+                    if source == destination {
+                        continue;
+                    }
+                    for round in 0..4 {
+                        let mut pick = |count: usize| -> Vec<NodeId> {
+                            (0..count)
+                                .map(|_| nodes[rng.gen_range(0..nodes.len())])
+                                .filter(|&n| n != source && n != destination)
+                                .collect()
+                        };
+                        let (banned, first_hops) = match round {
+                            0 => (Vec::new(), Vec::new()),
+                            1 => (Vec::new(), t.neighbors(source)),
+                            _ => (pick(3), pick(2)),
+                        };
+                        let fast = t.constrained_shortest(
+                            &mut search,
+                            source,
+                            destination,
+                            &banned,
+                            &first_hops,
+                        );
+                        let slow = reference::constrained_shortest(
+                            &t,
+                            source,
+                            destination,
+                            &banned,
+                            &first_hops,
+                        );
+                        assert_eq!(
+                            fast, slow,
+                            "{source:?} -> {destination:?}, banned {banned:?}, first hops {first_hops:?}"
+                        );
+                        compared += usize::from(fast.is_some());
+                    }
+                }
+            }
+        }
+        assert!(compared > 5000, "only {compared} paths compared");
+    }
+
+    /// The applications' endpoints of the 80-switch fat-tree instance
+    /// `tsn_workload` generates for the scale workloads (seed 1, as the
+    /// benchmark's), over its topology rebuilt here: the generator links the
+    /// library build of this crate, which is a distinct crate to these
+    /// tests, so every node and link is re-added in id order, keeping every
+    /// id. Hop-count routes do not read link specs.
+    fn generated_instance(streams: usize) -> (Topology, Vec<(NodeId, NodeId)>) {
+        let problem = tsn_workload::large_scale_problem(&tsn_workload::LargeScaleScenario {
+            streams,
+            seed: 1,
+            ..Default::default()
+        })
+        .expect("the generator builds its instances");
+        let generated = problem.topology();
+        let mut topology = Topology::new();
+        for node in generated.nodes() {
+            let kind = match node.kind().to_string().as_str() {
+                "switch" => NodeKind::Switch,
+                "sensor" => NodeKind::Sensor,
+                _ => NodeKind::Controller,
+            };
+            topology.add_node(node.name(), kind);
+        }
+        let id = |index: usize| NodeId::new(index as u32);
+        for link in generated.links().step_by(2) {
+            topology
+                .connect(
+                    id(link.source().index()),
+                    id(link.target().index()),
+                    LinkSpec::fast_ethernet(),
+                )
+                .expect("the generated topology is valid");
+        }
+        assert_eq!(topology.link_count(), generated.link_count());
+        let apps = problem
+            .applications()
+            .iter()
+            .map(|app| (id(app.sensor.index()), id(app.controller.index())))
+            .collect();
+        (topology, apps)
+    }
+
+    #[test]
+    fn k_shortest_matches_the_reference_on_the_generated_fat_trees() {
+        // The flagship's instance and one at four times its streams: every
+        // application's route list, at each route count the workloads use.
+        for streams in [500, 2000] {
+            let (t, apps) = generated_instance(streams);
+            assert_eq!(apps.len(), streams);
+            let mut routes = 0usize;
+            for &(sensor, controller) in &apps {
+                for k in [1, 3, 4] {
+                    let fast = t.k_shortest_routes(sensor, controller, k).unwrap();
+                    let slow = reference::k_shortest_routes(&t, sensor, controller, k).unwrap();
+                    assert_eq!(
+                        fast, slow,
+                        "{streams} streams: {sensor:?} -> {controller:?}, k = {k}"
+                    );
+                    routes += fast.len();
+                }
+            }
+            assert!(routes > 6 * streams, "only {routes} routes compared");
+        }
+    }
+
+    #[test]
+    fn the_switch_adjacency_follows_changes_to_the_graph() {
+        let (mut t, s, c) = diamond();
+        let a = t.node_by_name("a").unwrap();
+        let shortcut = t.add_node("g", NodeKind::Switch);
+        let fresh = t.add_node("c2", NodeKind::Controller);
+        // The first search builds the adjacency while both are isolated...
+        assert_eq!(t.shortest_route(s, c).unwrap().hop_count(), 3);
+        assert!(t.shortest_route(s, fresh).is_err());
+        // ...and links added after it must be seen by the next search.
+        t.connect(a, shortcut, LinkSpec::fast_ethernet()).unwrap();
+        t.connect(shortcut, fresh, LinkSpec::fast_ethernet())
+            .unwrap();
+        let r = t.shortest_route(s, fresh).unwrap();
+        assert_eq!(r.nodes(), [s, a, shortcut, fresh]);
+        assert_eq!(
+            t.k_shortest_routes(s, fresh, 4).unwrap(),
+            reference::k_shortest_routes(&t, s, fresh, 4).unwrap()
+        );
     }
 }

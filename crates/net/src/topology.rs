@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::{Link, LinkId, LinkSpec, NetError, Node, NodeId, NodeKind};
 
@@ -38,6 +39,27 @@ pub struct Topology {
     links: Vec<Link>,
     out_links: Vec<Vec<LinkId>>,
     link_index: HashMap<(NodeId, NodeId), LinkId>,
+    /// The switch-to-switch adjacency route searches expand, built by the
+    /// first search and dropped by every change to the graph.
+    fabric: OnceLock<Fabric>,
+}
+
+/// The switch neighbours of every node as one compressed adjacency list:
+/// `targets[offsets[n]..offsets[n + 1]]` are the switches node `n` reaches
+/// over one link, in egress-port order. End stations are left out: they
+/// cannot forward, so a route search never expands one.
+#[derive(Debug, Clone)]
+pub(crate) struct Fabric {
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+}
+
+impl Fabric {
+    /// The switches `node` reaches over one link, in egress-port order.
+    pub(crate) fn switches_after(&self, node: NodeId) -> &[NodeId] {
+        let i = node.index();
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 impl Topology {
@@ -51,6 +73,7 @@ impl Topology {
         let id = NodeId::new(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, name, kind));
         self.out_links.push(Vec::new());
+        self.fabric.take();
         id
     }
 
@@ -89,6 +112,7 @@ impl Topology {
         self.out_links[b.index()].push(ba);
         self.link_index.insert((a, b), ab);
         self.link_index.insert((b, a), ba);
+        self.fabric.take();
         Ok((ab, ba))
     }
 
@@ -180,6 +204,24 @@ impl Topology {
     /// The outgoing directed links (egress ports) of a node.
     pub fn out_links(&self, node: NodeId) -> &[LinkId] {
         &self.out_links[node.index()]
+    }
+
+    /// The switch adjacency route searches expand, built on first use.
+    pub(crate) fn fabric(&self) -> &Fabric {
+        self.fabric.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.nodes.len() + 1);
+            let mut targets = Vec::new();
+            offsets.push(0);
+            for out in &self.out_links {
+                targets.extend(
+                    out.iter()
+                        .map(|&l| self.links[l.index()].target())
+                        .filter(|t| self.nodes[t.index()].kind().is_switch()),
+                );
+                offsets.push(targets.len() as u32);
+            }
+            Fabric { offsets, targets }
+        })
     }
 
     /// The neighbors reachable from `node` over one link.

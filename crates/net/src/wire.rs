@@ -9,7 +9,7 @@
 //! [`LinkId`](crate::LinkId) assignment — encoder and decoder round-trip
 //! bit-exactly, including ids.
 
-use crate::json::{bad, get_arr, get_i64, get_str, get_u64, Json, JsonError};
+use crate::json::{bad, echo, get_arr, get_i64, get_str, get_u64, Json, JsonError};
 use crate::{LinkSpec, NodeKind, Time, Topology};
 
 /// Encodes a [`Time`] as exact integer nanoseconds.
@@ -64,7 +64,7 @@ pub fn node_kind_from_json(json: &Json) -> Result<NodeKind, JsonError> {
         Some("switch") => Ok(NodeKind::Switch),
         Some("sensor") => Ok(NodeKind::Sensor),
         Some("controller") => Ok(NodeKind::Controller),
-        Some(other) => Err(bad(format!("unknown node kind {other:?}"))),
+        Some(other) => Err(bad(format!("unknown node kind {}", echo(other)))),
         None => Err(bad("node kind is not a string")),
     }
 }

@@ -6,7 +6,7 @@
 //! module is the types' only serialization: explicit `to_json`/`from_json`
 //! pairs over [`tsn_net::json::Json`].
 
-use tsn_net::json::{Json, JsonError};
+use tsn_net::json::{echo, Json, JsonError};
 use tsn_net::LinkId;
 use tsn_synthesis::wire::{
     bad, config_from_json, config_to_json, duration_from_json, duration_to_json, get_bool, get_i64,
@@ -120,7 +120,7 @@ pub fn event_from_json(json: &Json) -> Result<NetworkEvent, JsonError> {
         }),
         "link_down" => Ok(NetworkEvent::LinkDown { link: link(json)? }),
         "link_up" => Ok(NetworkEvent::LinkUp { link: link(json)? }),
-        other => Err(bad(format!("unknown event type {other:?}"))),
+        other => Err(bad(format!("unknown event type {}", echo(other)))),
     }
 }
 
@@ -208,7 +208,7 @@ pub fn decision_from_json(json: &Json) -> Result<Decision, JsonError> {
         }),
         "link_restored" => Ok(Decision::LinkRestored),
         "noop" => Ok(Decision::NoOp),
-        other => Err(bad(format!("unknown decision type {other:?}"))),
+        other => Err(bad(format!("unknown decision type {}", echo(other)))),
     }
 }
 

@@ -13,6 +13,12 @@
 //! open partition it shares the most links with (or opens a new one when it
 //! contends with nothing placed so far). Determinism matters: the partition
 //! plan is part of the reproducible solve, independent of thread count.
+//!
+//! The graph itself is built from a link → applications index: each
+//! application counts, in one dense counter, the links it shares with every
+//! later application listed on its own links. The cost is one counter step
+//! per (link, pair of applications on it), with no pair set and no second
+//! pass to intersect link sets.
 
 use tsn_synthesis::{RouteCandidates, SynthesisProblem};
 
@@ -61,51 +67,44 @@ fn link_set(candidates: &RouteCandidates, app: usize) -> Vec<u32> {
     links
 }
 
-/// The number of common elements of two sorted, deduplicated slices.
-fn intersection_size(a: &[u32], b: &[u32]) -> u32 {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0u32);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 /// Builds the contention graph: for every application, its weighted
-/// neighbour list.
+/// neighbour list, ascending by neighbour.
 fn contention_graph(candidates: &RouteCandidates, app_count: usize) -> Vec<Edges> {
     let sets: Vec<Vec<u32>> = (0..app_count).map(|a| link_set(candidates, a)).collect();
-    // Invert to a link -> apps index so only pairs that can actually share a
-    // link are compared (the all-pairs loop is quadratic in the app count,
-    // which hurts at thousands of streams on sparse fabrics).
-    let mut apps_of_link: std::collections::HashMap<u32, Vec<usize>> =
-        std::collections::HashMap::new();
+    let link_count = sets
+        .iter()
+        .filter_map(|set| set.last())
+        .max()
+        .map_or(0, |&l| l as usize + 1);
+    // Each list is ascending: applications are pushed in index order.
+    let mut apps_of_link: Vec<Vec<usize>> = vec![Vec::new(); link_count];
     for (app, set) in sets.iter().enumerate() {
         for &l in set {
-            apps_of_link.entry(l).or_default().push(app);
-        }
-    }
-    let mut pairs: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
-    for apps in apps_of_link.values() {
-        for (i, &a) in apps.iter().enumerate() {
-            for &b in &apps[i + 1..] {
-                pairs.insert((a.min(b), a.max(b)));
-            }
+            apps_of_link[l as usize].push(app);
         }
     }
     let mut edges: Vec<Edges> = vec![Vec::new(); app_count];
-    for (a, b) in pairs {
-        let w = intersection_size(&sets[a], &sets[b]);
-        debug_assert!(w > 0);
-        edges[a].push((b, w));
-        edges[b].push((a, w));
+    let mut shared = vec![0u32; app_count];
+    let mut later: Vec<usize> = Vec::new();
+    for (a, set) in sets.iter().enumerate() {
+        for &l in set {
+            let apps = &apps_of_link[l as usize];
+            for &b in &apps[apps.partition_point(|&b| b <= a)..] {
+                if shared[b] == 0 {
+                    later.push(b);
+                }
+                shared[b] += 1;
+            }
+        }
+        // Earlier neighbours were appended to `edges[a]` in ascending order
+        // while they were counted; the later ones follow, also ascending.
+        later.sort_unstable();
+        for &b in &later {
+            let w = std::mem::take(&mut shared[b]);
+            edges[a].push((b, w));
+            edges[b].push((a, w));
+        }
+        later.clear();
     }
     edges
 }
@@ -189,12 +188,66 @@ pub fn plan_partitions(
     plan
 }
 
+/// The contention graph as it was built before it counted: every pair
+/// collected once per shared link, then intersected again. The reference
+/// the tests hold [`contention_graph`] to.
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeSet, HashMap};
+
+    use super::{link_set, Edges};
+    use tsn_synthesis::RouteCandidates;
+
+    /// The number of common elements of two sorted, deduplicated slices.
+    fn intersection_size(a: &[u32], b: &[u32]) -> u32 {
+        let (mut i, mut j, mut n) = (0usize, 0usize, 0u32);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    n += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        n
+    }
+
+    pub(super) fn contention_graph(candidates: &RouteCandidates, app_count: usize) -> Vec<Edges> {
+        let sets: Vec<Vec<u32>> = (0..app_count).map(|a| link_set(candidates, a)).collect();
+        let mut apps_of_link: HashMap<u32, Vec<usize>> = HashMap::new();
+        for (app, set) in sets.iter().enumerate() {
+            for &l in set {
+                apps_of_link.entry(l).or_default().push(app);
+            }
+        }
+        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for apps in apps_of_link.values() {
+            for (i, &a) in apps.iter().enumerate() {
+                for &b in &apps[i + 1..] {
+                    pairs.insert((a.min(b), a.max(b)));
+                }
+            }
+        }
+        let mut edges: Vec<Edges> = vec![Vec::new(); app_count];
+        for (a, b) in pairs {
+            let w = intersection_size(&sets[a], &sets[b]);
+            edges[a].push((b, w));
+            edges[b].push((a, w));
+        }
+        edges
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tsn_control::PiecewiseLinearBound;
     use tsn_net::{builders, LinkSpec, Time};
     use tsn_synthesis::RouteStrategy;
+    use tsn_workload::{large_scale_problem, LargeScaleScenario, LargeTopology};
 
     fn problem(apps: usize) -> SynthesisProblem {
         let net = builders::automotive_backbone(apps, apps, LinkSpec::fast_ethernet());
@@ -272,5 +325,49 @@ mod tests {
                 assert!(w > 0);
             }
         }
+    }
+
+    fn assert_same_graph(problem: &SynthesisProblem, k: usize, what: &str) -> usize {
+        let candidates = RouteCandidates::generate(problem, RouteStrategy::KShortest(k)).unwrap();
+        let n = problem.applications().len();
+        let edges = contention_graph(&candidates, n);
+        assert_eq!(edges, reference::contention_graph(&candidates, n), "{what}");
+        edges.iter().map(Vec::len).sum::<usize>() / 2
+    }
+
+    #[test]
+    fn contention_graph_matches_the_reference_on_the_generated_fat_trees() {
+        // The flagship's instance, one at four times its streams and the
+        // SMT-only workload's, at the scale default of four routes.
+        for streams in [500, 2000, 100] {
+            let scenario = LargeScaleScenario {
+                streams,
+                seed: 1,
+                ..LargeScaleScenario::default()
+            };
+            let p = large_scale_problem(&scenario).unwrap();
+            let pairs = assert_same_graph(&p, 4, &format!("{streams} streams"));
+            assert!(
+                pairs > streams,
+                "{streams} streams: only {pairs} contention edges"
+            );
+        }
+    }
+
+    #[test]
+    fn contention_graph_matches_the_reference_on_seeded_random_problems() {
+        let mut pairs = 0;
+        for seed in 0..200u64 {
+            let scenario = LargeScaleScenario {
+                topology: LargeTopology::ALL[seed as usize % 3],
+                switches: 8 + (seed as usize * 7) % 33,
+                streams: 2 + (seed as usize * 13) % 59,
+                seed,
+                fast_stream_percent: 12,
+            };
+            let p = large_scale_problem(&scenario).unwrap();
+            pairs += assert_same_graph(&p, 1 + seed as usize % 4, &format!("{scenario:?}"));
+        }
+        assert!(pairs > 10_000, "only {pairs} contention edges compared");
     }
 }

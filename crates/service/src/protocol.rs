@@ -100,7 +100,7 @@
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
-use tsn_net::json::{bad, get_bool, get_i64, get_str, write_json_escaped, Json, JsonError};
+use tsn_net::json::{bad, echo, get_bool, get_i64, get_str, write_json_escaped, Json, JsonError};
 use tsn_net::wire::{delay_from_json, time_to_json, topology_from_json, topology_to_json};
 use tsn_net::{Time, Topology};
 use tsn_online::wire::{
@@ -139,7 +139,7 @@ impl Backend {
             "auto" => Ok(Backend::Auto),
             "monolithic" => Ok(Backend::Monolithic),
             "partitioned" => Ok(Backend::Partitioned),
-            other => Err(bad(format!("unknown backend {other:?}"))),
+            other => Err(bad(format!("unknown backend {}", echo(other)))),
         }
     }
 }
@@ -398,7 +398,7 @@ impl RequestBody {
             "metrics" => Ok(RequestBody::Metrics),
             "health" => Ok(RequestBody::Health),
             "shutdown" => Ok(RequestBody::Shutdown),
-            other => Err(bad(format!("unknown request type {other:?}"))),
+            other => Err(bad(format!("unknown request type {}", echo(other)))),
         }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
-use tsn_net::json::Json;
+use tsn_net::json::{echo, Json};
 use tsn_net::Time;
 use tsn_online::{BatchPolicy, NetworkEvent, OnlineConfig, OnlineEngine};
 use tsn_scale::wire::zeroed_scale_report;
@@ -560,7 +560,7 @@ impl Service {
             }
             RequestBody::Event { tenant, event } => {
                 let Some(slot) = self.tenant(tenant) else {
-                    return (Err(format!("unknown tenant {tenant:?}")), false);
+                    return (Err(format!("unknown tenant {}", echo(tenant))), false);
                 };
                 let mut engine = slot.engine.lock().expect("tenant engine lock");
                 let _solve_span = tsn_telemetry::span!("service.solve");
@@ -573,7 +573,7 @@ impl Service {
             }
             RequestBody::EventBatch { tenant, events } => {
                 let Some(slot) = self.tenant(tenant) else {
-                    return (Err(format!("unknown tenant {tenant:?}")), false);
+                    return (Err(format!("unknown tenant {}", echo(tenant))), false);
                 };
                 let mut engine = slot.engine.lock().expect("tenant engine lock");
                 let _solve_span = tsn_telemetry::span!("service.solve");
@@ -596,7 +596,7 @@ impl Service {
             }
             RequestBody::TenantState { tenant } => {
                 let Some(slot) = self.tenant(tenant) else {
-                    return (Err(format!("unknown tenant {tenant:?}")), false);
+                    return (Err(format!("unknown tenant {}", echo(tenant))), false);
                 };
                 let engine = slot.engine.lock().expect("tenant engine lock");
                 (Ok(tenant_state_json(tenant, &engine)), false)
@@ -628,7 +628,7 @@ impl Service {
                             false,
                         )
                     }
-                    None => (Err(format!("unknown tenant {tenant:?}")), false),
+                    None => (Err(format!("unknown tenant {}", echo(tenant))), false),
                 }
             }
             RequestBody::MigrateOut { tenant } => {
@@ -661,7 +661,7 @@ impl Service {
                             false,
                         )
                     }
-                    None => (Err(format!("unknown tenant {tenant:?}")), false),
+                    None => (Err(format!("unknown tenant {}", echo(tenant))), false),
                 }
             }
             RequestBody::MigrateIn { tenant, snapshot } => {
@@ -837,7 +837,7 @@ impl Service {
                     cached: false,
                     elapsed_us: self.elapsed_us(start_ns),
                     retry_after_ms: None,
-                    outcome: Err(format!("unknown tenant {tenant_name:?}")),
+                    outcome: Err(format!("unknown tenant {}", echo(&tenant_name))),
                 })
                 .collect();
         };

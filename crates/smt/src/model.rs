@@ -617,6 +617,9 @@ impl Model {
         assumptions: &[Lit],
         options: SolveOptions,
     ) -> Outcome {
+        // Every call builds its solver afresh from every clause; the span
+        // keeps that cost apart from `smt.solve`'s search.
+        let build_span = tsn_telemetry::span!("smt.build");
         let mut theory = DifferenceLogic::new();
         for _ in 0..self.num_ints {
             theory.new_var();
@@ -641,6 +644,7 @@ impl Model {
         for clause in &self.learned_cache {
             solver.add_clause(clause.clone());
         }
+        drop(build_span);
         // Solver statistics are cumulative over the solver's lifetime;
         // subtract a pre-solve snapshot so `last_stats` is per-call even if
         // the solver construction above ever starts being reused.
