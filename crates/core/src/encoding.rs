@@ -246,16 +246,14 @@ impl<'a> StageEncoder<'a> {
     /// Route selection (Eq. 8), transposition (Eq. 6) and the implicit
     /// period deadline for every current message.
     fn encode_routing_and_timing(&mut self, current: &[MessageInstance]) {
-        for (idx, message) in current.iter().enumerate() {
+        for message in current {
             let app = &self.problem.applications()[message.app];
             let routes = self.candidates.for_app(message.app);
             let release_ns = message.release.as_nanos();
             let deadline_ns = (message.release + app.period).as_nanos();
 
             // One selector per candidate route; exactly one is chosen.
-            let selectors: Vec<Lit> = (0..routes.len())
-                .map(|r| self.model.new_bool(format!("sel_m{idx}_r{r}")).lit())
-                .collect();
+            let selectors: Vec<Lit> = routes.iter().map(|_| self.model.new_bool().lit()).collect();
             self.model.exactly_one(&selectors);
 
             // One release-time variable per distinct switch-egress link.
@@ -264,14 +262,14 @@ impl<'a> StageEncoder<'a> {
             for route in routes {
                 for &link in route.links().iter().skip(1) {
                     vars.entry(link).or_insert_with(|| {
-                        let v = self.model.new_int(format!("t_m{idx}_{link}"));
+                        let v = self.model.new_int();
                         self.model.int_bounds(v, release_ns, deadline_ns);
                         v
                     });
                 }
                 for &link in route.links() {
                     used.entry(link)
-                        .or_insert_with(|| self.model.new_bool(format!("use_m{idx}_{link}")).lit());
+                        .or_insert_with(|| self.model.new_bool().lit());
                 }
             }
 
@@ -433,7 +431,7 @@ impl<'a> StageEncoder<'a> {
                     let allowance = ((beta_ns - b) as f64 / segment.alpha.max(1e-9)) as i64;
                     let upper = a.saturating_add(allowance.max(0));
                     if allowance >= 0 && upper >= a {
-                        let g = self.model.new_bool(format!("stab_a{app_idx}_{a}")).lit();
+                        let g = self.model.new_bool().lit();
                         self.encode_stability_interval(
                             app_idx,
                             &current_msgs,
@@ -483,10 +481,10 @@ impl<'a> StageEncoder<'a> {
                 return;
             }
         }
+        let routes = self.candidates.for_app(app_idx);
         // Current messages: conditional bounds per candidate route.
         for &m in current_msgs {
             let release = current[m].release.as_nanos();
-            let routes = self.candidates.for_app(app_idx).to_vec();
             for (r, route) in routes.iter().enumerate() {
                 let sel = self.route_sel[m][r];
                 let last = *route.links().last().expect("non-empty route");
@@ -516,11 +514,7 @@ impl<'a> StageEncoder<'a> {
         let mut low_lits = vec![!g];
         for &m in current_msgs {
             let release = current[m].release.as_nanos();
-            let low = self
-                .model
-                .new_bool(format!("low_a{app_idx}_m{m}_{a}"))
-                .lit();
-            let routes = self.candidates.for_app(app_idx).to_vec();
+            let low = self.model.new_bool().lit();
             for (r, route) in routes.iter().enumerate() {
                 let sel = self.route_sel[m][r];
                 let last = *route.links().last().expect("non-empty route");

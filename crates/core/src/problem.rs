@@ -73,6 +73,9 @@ pub struct SynthesisProblem {
     topology: Topology,
     forwarding_delay: Time,
     applications: Vec<ControlApplication>,
+    /// The lcm of every application's period, kept as applications are
+    /// added (zero while there are none).
+    hyperperiod: Time,
 }
 
 impl SynthesisProblem {
@@ -83,6 +86,7 @@ impl SynthesisProblem {
             topology,
             forwarding_delay,
             applications: Vec::new(),
+            hyperperiod: Time::ZERO,
         }
     }
 
@@ -91,8 +95,9 @@ impl SynthesisProblem {
     /// # Errors
     ///
     /// Returns [`SynthesisError::InvalidProblem`] if the endpoints do not
-    /// exist or have the wrong kind, or the period / frame size is not
-    /// positive.
+    /// exist or have the wrong kind, the period / frame size is not
+    /// positive, or the period would take the hyper-period past the
+    /// nanosecond range of [`Time`].
     pub fn add_application(
         &mut self,
         name: impl Into<String>,
@@ -128,6 +133,20 @@ impl SynthesisProblem {
         };
         check_node(sensor, NodeKind::Sensor)?;
         check_node(controller, NodeKind::Controller)?;
+        let hyperperiod = if self.applications.is_empty() {
+            period
+        } else {
+            self.hyperperiod
+                .checked_lcm(period)
+                .ok_or_else(|| SynthesisError::InvalidProblem {
+                    what: format!(
+                        "application {name}: the lcm of the hyper-period {} and the \
+                         period {} overflows",
+                        self.hyperperiod, period
+                    ),
+                })?
+        };
+        self.hyperperiod = hyperperiod;
         self.applications.push(ControlApplication {
             name,
             sensor,
@@ -157,11 +176,7 @@ impl SynthesisProblem {
     /// The hyper-period: the least common multiple of all application
     /// periods (zero if there are no applications).
     pub fn hyperperiod(&self) -> Time {
-        self.applications
-            .iter()
-            .map(|a| a.period)
-            .reduce(|a, b| a.lcm(b))
-            .unwrap_or(Time::ZERO)
+        self.hyperperiod
     }
 
     /// The total number of message instances inside one hyper-period — the
@@ -248,6 +263,41 @@ mod tests {
         // 10 + 4 + 5 messages in 200 ms.
         assert_eq!(p.message_count(), 19);
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn a_period_that_overflows_the_hyperperiod_is_refused() {
+        // Three pairwise coprime periods near 10 ms: their lcm is about
+        // 1.0e21 ns, past i64::MAX (9.2e18). It used to wrap in release
+        // builds and panic in debug ones.
+        let (mut p, sensors, controllers) = figure1_problem();
+        let periods = [10_000_001, 10_000_003, 10_000_007].map(Time::from_nanos);
+        for i in 0..2 {
+            p.add_application(
+                format!("a{i}"),
+                sensors[i],
+                controllers[i],
+                periods[i],
+                1500,
+                bound(),
+            )
+            .unwrap();
+        }
+        let two = Time::from_nanos(10_000_001 * 10_000_003);
+        assert_eq!(p.hyperperiod(), two);
+        let err = p
+            .add_application("a2", sensors[2], controllers[2], periods[2], 1500, bound())
+            .unwrap_err();
+        let SynthesisError::InvalidProblem { what } = &err else {
+            panic!("expected InvalidProblem, got {err:?}");
+        };
+        assert!(
+            what.contains(&two.to_string()) && what.contains(&periods[2].to_string()),
+            "the error must name both periods: {what}"
+        );
+        // The refused application leaves the problem as it was.
+        assert_eq!(p.applications().len(), 2);
+        assert_eq!(p.hyperperiod(), two);
     }
 
     #[test]

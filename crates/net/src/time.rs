@@ -111,11 +111,24 @@ impl Time {
     ///
     /// # Panics
     ///
-    /// Panics if either duration is not strictly positive.
+    /// Panics if either duration is not strictly positive, or if the result
+    /// does not fit in a `Time` (see [`checked_lcm`](Time::checked_lcm)).
     pub fn lcm(self, other: Time) -> Time {
         assert!(self.0 > 0 && other.0 > 0, "lcm requires positive durations");
+        self.checked_lcm(other)
+            .expect("lcm overflows the nanosecond range")
+    }
+
+    /// The least common multiple of two durations, or `None` when either is
+    /// not strictly positive or the result exceeds `i64::MAX` nanoseconds
+    /// (about 292 years). Three pairwise coprime periods near 10 ms already
+    /// get there.
+    pub fn checked_lcm(self, other: Time) -> Option<Time> {
+        if self.0 <= 0 || other.0 <= 0 {
+            return None;
+        }
         let g = gcd(self.0, other.0);
-        Time(self.0 / g * other.0)
+        (self.0 / g).checked_mul(other.0).map(Time)
     }
 
     /// The maximum of two times.
@@ -260,6 +273,38 @@ mod tests {
         assert_eq!(h1.lcm(h2), Time::from_millis(100));
         let h3 = Time::from_millis(40);
         assert_eq!(h1.lcm(h2).lcm(h3), Time::from_millis(200));
+    }
+
+    #[test]
+    fn checked_lcm_refuses_what_does_not_fit() {
+        let (a, b, c) = (
+            Time::from_nanos(10_000_001),
+            Time::from_nanos(10_000_003),
+            Time::from_nanos(10_000_007),
+        );
+        let ab = a.checked_lcm(b).expect("two periods fit");
+        assert_eq!(ab, Time::from_nanos(10_000_001 * 10_000_003));
+        // The product of all three is about 1.0e21 ns, past i64::MAX.
+        assert_eq!(ab.checked_lcm(c), None);
+        assert_eq!(
+            Time::from_millis(20).checked_lcm(Time::from_millis(50)),
+            Some(Time::from_millis(100))
+        );
+        assert_eq!(
+            Time::from_nanos(i64::MAX).checked_lcm(Time::from_nanos(i64::MAX)),
+            Some(Time::from_nanos(i64::MAX))
+        );
+        assert_eq!(Time::ZERO.checked_lcm(Time::from_millis(1)), None);
+        assert_eq!(
+            Time::from_millis(-1).checked_lcm(Time::from_millis(1)),
+            None
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn lcm_panics_instead_of_wrapping() {
+        let _ = Time::from_nanos(10_000_001 * 10_000_003).lcm(Time::from_nanos(10_000_007));
     }
 
     #[test]

@@ -737,6 +737,12 @@ impl OnlineEngine {
                 .ok()?;
         }
         let new_hyper = problem.hyperperiod();
+        // `expand_via` passes through the lcm of both hyper-periods, which
+        // also counts the periods this batch removed. Where that overflows,
+        // the sequential path (one hyper-period change at a time) decides.
+        if old_hyper > Time::ZERO {
+            old_hyper.checked_lcm(new_hyper)?;
+        }
 
         let mut needed: Vec<usize> = affected.clone();
         needed.extend(self.live.len()..self.live.len() + queued.len());

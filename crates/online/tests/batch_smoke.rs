@@ -172,3 +172,46 @@ fn rejected_batch_leaves_session_clauses_untouched() {
     );
     assert_eq!(engine.live_ids().len(), 2, "live set unchanged");
 }
+
+#[test]
+fn a_batch_whose_hyperperiods_have_no_common_multiple_runs_sequentially() {
+    // The joint path re-expresses surviving reservations through the lcm
+    // of the batch-entry and the new hyper-period, which also counts the
+    // periods the batch removes. Here both hyper-periods fit (2.4e18 and
+    // 3.2e18 ns) but their lcm (9.6e18 ns) does not, so the batch must fall
+    // back to the sequential path, where the hyper-period first shrinks
+    // (removal) and then grows (admission) within range.
+    const G: i64 = 800_000_000_000_000_000;
+    let net = builders::figure1_example(LinkSpec::fast_ethernet());
+    let with_period = |i: usize, period_ns: i64| ControlApplication {
+        period: Time::from_nanos(period_ns),
+        ..app(&net, i)
+    };
+    let mut engine = OnlineEngine::new(
+        net.topology.clone(),
+        Time::from_micros(5),
+        OnlineConfig::default(),
+    );
+    for (i, period) in [(0, 3 * G), (1, G)] {
+        let report = engine.process(NetworkEvent::AdmitApp {
+            app: with_period(i, period),
+        });
+        assert!(
+            matches!(report.decision, Decision::Admitted { .. }),
+            "{report:?}"
+        );
+    }
+    let first = engine.live_ids()[0];
+    let report = engine.process_batch(vec![
+        NetworkEvent::RemoveApp { app: first },
+        NetworkEvent::AdmitApp {
+            app: with_period(2, 4 * G),
+        },
+    ]);
+    assert!(!report.joint, "the joint path must step aside: {report:?}");
+    assert!(
+        matches!(report.reports[1].decision, Decision::Admitted { .. }),
+        "{report:?}"
+    );
+    assert_eq!(engine.live_ids().len(), 2);
+}

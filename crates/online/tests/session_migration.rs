@@ -206,3 +206,49 @@ fn restore_rejects_inconsistent_snapshots() {
     let restored = OnlineEngine::restore(snap).expect("post-batch snapshot restores");
     assert_eq!(restored.live_ids(), batcher.live_ids());
 }
+
+/// Folds `bytes` into the FNV-1a (64-bit) hash state `hash`.
+fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn session_snapshot_bytes_along_a_fixed_trace_are_pinned() {
+    // The differentials above compare a donor with its own restore, so they
+    // hold even if both drift together. This pin holds the snapshots
+    // themselves (clauses in order, learned-clause cache, phases,
+    // activities) across commits: a change to how models are built or
+    // stored must not move one byte of what a migrating session carries.
+    // The trace is the figure1 trace of `online_trace.rs`; the snapshot
+    // after every event is hashed, warm or cold.
+    let scenario = DynamicScenario {
+        topology: DynamicTopology::Figure1,
+        slots: 3,
+        events: 45,
+        load: 0.8,
+        seed: 7,
+    };
+    let (network, events) = event_trace(&scenario);
+    let mut engine = manual_engine(&network, OnlineConfig::default());
+    let (mut hash, mut bytes, mut warm) = (0xcbf2_9ce4_8422_2325, 0, 0);
+    for event in events {
+        engine.process(event);
+        let snapshot = engine.export_session();
+        warm += usize::from(snapshot.session.is_some());
+        let line = session_snapshot_to_json(&snapshot).to_string();
+        bytes += line.len() + 1;
+        hash = fnv1a64(hash, line.as_bytes());
+        hash = fnv1a64(hash, b"\n");
+    }
+    assert!(
+        warm >= 20,
+        "only {warm} of 45 snapshots carry a warm session"
+    );
+    assert_eq!(
+        (bytes, hash),
+        (311_304, 0x09f9_0ab0_6dd6_0029),
+        "the snapshot bytes moved: a restored session would no longer match"
+    );
+}

@@ -23,8 +23,8 @@
 //! use tsn_smt::Model;
 //!
 //! let mut model = Model::new();
-//! let release_a = model.new_int("release_a");
-//! let release_b = model.new_int("release_b");
+//! let release_a = model.new_int();
+//! let release_b = model.new_int();
 //! model.int_bounds(release_a, 0, 1000);
 //! model.int_bounds(release_b, 0, 1000);
 //! // The two frames share a link: one transmission (120 time units) must

@@ -1,5 +1,6 @@
 //! High-level model builder: variables, clauses, difference atoms and
-//! convenience constraints, plus model extraction.
+//! convenience constraints, plus model extraction. Variables are unnamed
+//! indices and clauses share one flat literal store (see [`Model`]).
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -85,6 +86,7 @@ struct ScopeMark {
     num_bools: usize,
     num_ints: usize,
     num_clauses: usize,
+    num_clause_lits: usize,
     num_atoms: usize,
     zero: Option<IntVar>,
     learned: usize,
@@ -144,6 +146,11 @@ pub struct ModelState {
 /// keeps repeated solving (e.g. the incremental-synthesis heuristic)
 /// deterministic and free of hidden state.
 ///
+/// Variables are bare indices: the model keeps no names for them. Clauses
+/// live in one flat literal store plus the end offset of each clause, so
+/// adding a clause allocates nothing of its own, a scope is two lengths,
+/// and every solve hands the solver borrowed slices.
+///
 /// # Scopes, assumptions and warm starts
 ///
 /// Three facilities support *online* use, where one model is solved many
@@ -168,8 +175,8 @@ pub struct ModelState {
 /// use tsn_smt::Model;
 ///
 /// let mut model = Model::new();
-/// let start_a = model.new_int("start_a");
-/// let start_b = model.new_int("start_b");
+/// let start_a = model.new_int();
+/// let start_b = model.new_int();
 /// // Two unit-length jobs on one machine: one must finish before the other.
 /// let a_first = model.diff_le(start_a, start_b, -1); // a + 1 <= b
 /// let b_first = model.diff_le(start_b, start_a, -1); // b + 1 <= a
@@ -187,9 +194,11 @@ pub struct ModelState {
 /// ```
 #[derive(Debug, Default)]
 pub struct Model {
-    bool_names: Vec<String>,
-    int_names: Vec<String>,
-    clauses: Vec<Vec<Lit>>,
+    /// Every clause's literals, back to back in creation order: clause `i`
+    /// is `clause_lits[clause_ends[i - 1]..clause_ends[i]]` (from 0 for the
+    /// first), so adding a clause allocates nothing of its own.
+    clause_lits: Vec<Lit>,
+    clause_ends: Vec<usize>,
     /// Atom definitions in creation order: (proxy index, atom).
     atoms: Vec<DiffAtom>,
     atom_proxy: Vec<BoolVar>,
@@ -222,18 +231,16 @@ impl Model {
     }
 
     /// Adds a fresh Boolean variable.
-    pub fn new_bool(&mut self, name: impl Into<String>) -> BoolVar {
+    pub fn new_bool(&mut self) -> BoolVar {
         let var = BoolVar(self.num_bools as u32);
         self.num_bools += 1;
-        self.bool_names.push(name.into());
         var
     }
 
     /// Adds a fresh integer variable.
-    pub fn new_int(&mut self, name: impl Into<String>) -> IntVar {
+    pub fn new_int(&mut self) -> IntVar {
         let var = IntVar(self.num_ints as u32);
         self.num_ints += 1;
-        self.int_names.push(name.into());
         var
     }
 
@@ -249,17 +256,17 @@ impl Model {
 
     /// The number of clauses added so far.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.clause_ends.len()
     }
 
-    /// The name given to a Boolean variable.
-    pub fn bool_name(&self, var: BoolVar) -> &str {
-        &self.bool_names[var.index()]
-    }
-
-    /// The name given to an integer variable.
-    pub fn int_name(&self, var: IntVar) -> &str {
-        &self.int_names[var.index()]
+    /// The clauses in creation order, each as a slice of the flat store.
+    fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let mut start = 0;
+        self.clause_ends.iter().map(move |&end| {
+            let clause = &self.clause_lits[start..end];
+            start = end;
+            clause
+        })
     }
 
     /// Statistics of the most recent [`solve`](Model::solve) call.
@@ -276,7 +283,7 @@ impl Model {
         if let Some(&proxy) = self.atom_index.get(&(x.0, y.0, k)) {
             return proxy.lit();
         }
-        let proxy = self.new_bool(format!("{x} - {y} <= {k}"));
+        let proxy = self.new_bool();
         self.atom_index.insert((x.0, y.0, k), proxy);
         self.atoms.push(DiffAtom {
             x: x.index(),
@@ -298,7 +305,7 @@ impl Model {
         if let Some(z) = self.zero {
             return z;
         }
-        let z = self.new_int("__zero");
+        let z = self.new_int();
         self.zero = Some(z);
         z
     }
@@ -318,7 +325,8 @@ impl Model {
     /// Adds a clause (a disjunction of literals). An empty clause makes the
     /// model trivially unsatisfiable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        self.clauses.push(lits.into_iter().collect());
+        self.clause_lits.extend(lits);
+        self.clause_ends.push(self.clause_lits.len());
     }
 
     /// Asserts a single literal.
@@ -347,14 +355,12 @@ impl Model {
 
     /// Adds `premises -> conclusion` (conjunction of premises).
     pub fn implies_all(&mut self, premises: &[Lit], conclusion: Lit) {
-        let mut clause: Vec<Lit> = premises.iter().map(|&p| !p).collect();
-        clause.push(conclusion);
-        self.add_clause(clause);
+        self.add_clause(premises.iter().map(|&p| !p).chain([conclusion]));
     }
 
     /// Requires at least one of the literals to hold.
     pub fn at_least_one(&mut self, lits: &[Lit]) {
-        self.add_clause(lits.to_vec());
+        self.add_clause(lits.iter().copied());
     }
 
     /// Requires at most one of the literals to hold (pairwise encoding).
@@ -379,7 +385,8 @@ impl Model {
         self.scopes.push(ScopeMark {
             num_bools: self.num_bools,
             num_ints: self.num_ints,
-            num_clauses: self.clauses.len(),
+            num_clauses: self.clause_ends.len(),
+            num_clause_lits: self.clause_lits.len(),
             num_atoms: self.atoms.len(),
             zero: self.zero,
             learned: self.learned_cache.len(),
@@ -401,9 +408,8 @@ impl Model {
                 .remove(&(atom.x as u32, atom.y as u32, atom.k));
         }
         self.atom_proxy.truncate(mark.num_atoms);
-        self.clauses.truncate(mark.num_clauses);
-        self.bool_names.truncate(mark.num_bools);
-        self.int_names.truncate(mark.num_ints);
+        self.clause_ends.truncate(mark.num_clauses);
+        self.clause_lits.truncate(mark.num_clause_lits);
         self.num_bools = mark.num_bools;
         self.num_ints = mark.num_ints;
         self.zero = mark.zero;
@@ -451,8 +457,7 @@ impl Model {
     /// Everything a later [`solve`](Model::solve) call reads is captured —
     /// clauses, atoms, and the warm-start state — so a model rebuilt with
     /// [`from_state`](Model::from_state) produces bit-identical outcomes
-    /// *and statistics* for any future query sequence. Variable names are
-    /// not exported (they are debugging aids and never influence solving).
+    /// *and statistics* for any future query sequence.
     ///
     /// # Errors
     ///
@@ -465,7 +470,7 @@ impl Model {
                 self.scopes.len()
             ));
         }
-        let codes = |clause: &Vec<Lit>| clause.iter().map(|l| l.0).collect();
+        let codes = |clause: &[Lit]| clause.iter().map(|l| l.0).collect();
         Ok(ModelState {
             bools: self.num_bools,
             ints: self.num_ints,
@@ -476,8 +481,8 @@ impl Model {
                 .map(|a| (a.x as u32, a.y as u32, a.k))
                 .collect(),
             atom_proxy: self.atom_proxy.iter().map(|p| p.0).collect(),
-            clauses: self.clauses.iter().map(codes).collect(),
-            learned: self.learned_cache.iter().map(codes).collect(),
+            clauses: self.clauses().map(codes).collect(),
+            learned: self.learned_cache.iter().map(|c| codes(c)).collect(),
             phase: self.saved_phase.clone(),
             activity: self.saved_activity.clone(),
             var_inc: self.saved_var_inc,
@@ -569,12 +574,16 @@ impl Model {
         if !state.var_inc.is_finite() || state.activity.iter().any(|a| !a.is_finite()) {
             return Err("non-finite warm-start activity".to_string());
         }
+        let mut clause_lits = Vec::with_capacity(state.clauses.iter().map(Vec::len).sum());
+        let mut clause_ends = Vec::with_capacity(state.clauses.len());
+        for clause in &state.clauses {
+            clause_lits.extend(clause.iter().map(|&code| Lit(code)));
+            clause_ends.push(clause_lits.len());
+        }
         let lits = |clause: Vec<u32>| clause.into_iter().map(Lit).collect();
         Ok(Model {
-            // Names are debugging aids; restored variables get empty ones.
-            bool_names: vec![String::new(); state.bools],
-            int_names: vec![String::new(); state.ints],
-            clauses: state.clauses.into_iter().map(lits).collect(),
+            clause_lits,
+            clause_ends,
             atoms: state
                 .atoms
                 .into_iter()
@@ -625,9 +634,14 @@ impl Model {
             theory.new_var();
         }
         let mut solver = Solver::new(theory);
+        solver.reserve_vars(self.num_bools);
         for _ in 0..self.num_bools {
             solver.new_var();
         }
+        solver.reserve_clauses(
+            self.clauses()
+                .chain(self.learned_cache.iter().map(Vec::as_slice)),
+        );
         for (atom, proxy) in self.atoms.iter().zip(self.atom_proxy.iter()) {
             solver.attach_atom(*proxy, *atom);
         }
@@ -635,14 +649,14 @@ impl Model {
             solver.seed_phases(&self.saved_phase);
             solver.seed_activity(&self.saved_activity, self.saved_var_inc);
         }
-        for clause in &self.clauses {
-            solver.add_clause(clause.clone());
+        for clause in self.clauses() {
+            solver.add_clause(clause);
         }
         // Learned clauses from earlier solve calls are consequences of (a
         // prefix of) the clauses just added, so replaying them is sound and
         // lets the solver skip re-deriving them.
         for clause in &self.learned_cache {
-            solver.add_clause(clause.clone());
+            solver.add_clause(clause);
         }
         drop(build_span);
         // Solver statistics are cumulative over the solver's lifetime;
@@ -719,7 +733,7 @@ impl Model {
     /// Returns [`SmtError::ModelViolation`] naming the first violated
     /// constraint.
     pub fn verify(&self, assignment: &Assignment) -> Result<(), SmtError> {
-        for (idx, clause) in self.clauses.iter().enumerate() {
+        for (idx, clause) in self.clauses().enumerate() {
             if clause.is_empty() || clause.iter().all(|&l| !assignment.lit_value(l)) {
                 return Err(SmtError::ModelViolation {
                     what: format!("clause #{idx} is falsified"),
@@ -770,8 +784,8 @@ mod tests {
     #[test]
     fn pure_boolean_sat() {
         let mut m = Model::new();
-        let a = m.new_bool("a");
-        let b = m.new_bool("b");
+        let a = m.new_bool();
+        let b = m.new_bool();
         m.add_clause([a.lit(), b.lit()]);
         m.add_clause([a.negated(), b.lit()]);
         let outcome = m.solve();
@@ -783,7 +797,7 @@ mod tests {
     #[test]
     fn pure_boolean_unsat() {
         let mut m = Model::new();
-        let a = m.new_bool("a");
+        let a = m.new_bool();
         m.assert_lit(a.lit());
         m.assert_lit(a.negated());
         assert!(m.solve().is_unsat());
@@ -792,8 +806,8 @@ mod tests {
     #[test]
     fn bounds_and_ordering() {
         let mut m = Model::new();
-        let x = m.new_int("x");
-        let y = m.new_int("y");
+        let x = m.new_int();
+        let y = m.new_int();
         m.int_bounds(x, 0, 100);
         m.int_bounds(y, 0, 100);
         m.assert_diff_le(x, y, -10); // x + 10 <= y
@@ -807,8 +821,8 @@ mod tests {
     #[test]
     fn infeasible_bounds() {
         let mut m = Model::new();
-        let x = m.new_int("x");
-        let y = m.new_int("y");
+        let x = m.new_int();
+        let y = m.new_int();
         m.int_bounds(x, 0, 5);
         m.int_bounds(y, 0, 5);
         m.assert_diff_le(x, y, -10);
@@ -818,7 +832,7 @@ mod tests {
     #[test]
     fn exactly_one_selection() {
         let mut m = Model::new();
-        let options: Vec<Lit> = (0..5).map(|i| m.new_bool(format!("o{i}")).lit()).collect();
+        let options: Vec<Lit> = (0..5).map(|_| m.new_bool().lit()).collect();
         m.exactly_one(&options);
         let outcome = m.solve();
         let asg = outcome.assignment().unwrap();
@@ -832,7 +846,7 @@ mod tests {
         // Three unit jobs on one machine within [0, 2]: a permutation must be
         // found.
         let mut m = Model::new();
-        let starts: Vec<IntVar> = (0..3).map(|i| m.new_int(format!("s{i}"))).collect();
+        let starts: Vec<IntVar> = (0..3).map(|_| m.new_int()).collect();
         for &s in &starts {
             m.int_bounds(s, 0, 2);
         }
@@ -855,7 +869,7 @@ mod tests {
     fn disjunctive_scheduling_overconstrained() {
         // Four unit jobs in a window of three slots: unsatisfiable.
         let mut m = Model::new();
-        let starts: Vec<IntVar> = (0..4).map(|i| m.new_int(format!("s{i}"))).collect();
+        let starts: Vec<IntVar> = (0..4).map(|_| m.new_int()).collect();
         for &s in &starts {
             m.int_bounds(s, 0, 2);
         }
@@ -873,10 +887,10 @@ mod tests {
     fn conditional_constraints_follow_selection() {
         // If route A is chosen, x must be at least 50; if route B, at most 10.
         let mut m = Model::new();
-        let x = m.new_int("x");
+        let x = m.new_int();
         m.int_bounds(x, 0, 100);
-        let route_a = m.new_bool("route_a");
-        let route_b = m.new_bool("route_b");
+        let route_a = m.new_bool();
+        let route_b = m.new_bool();
         m.exactly_one(&[route_a.lit(), route_b.lit()]);
         let ge50 = m.ge_const(x, 50);
         let le10 = m.le_const(x, 10);
@@ -896,8 +910,8 @@ mod tests {
     #[test]
     fn atom_deduplication() {
         let mut m = Model::new();
-        let x = m.new_int("x");
-        let y = m.new_int("y");
+        let x = m.new_int();
+        let y = m.new_int();
         let a1 = m.diff_le(x, y, 3);
         let a2 = m.diff_le(x, y, 3);
         assert_eq!(a1, a2);
@@ -910,11 +924,7 @@ mod tests {
         // A pigeonhole-flavoured model that needs more than one conflict.
         let mut m = Model::new();
         let vars: Vec<Vec<Lit>> = (0..5)
-            .map(|i| {
-                (0..4)
-                    .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                    .collect()
-            })
+            .map(|_| (0..4).map(|_| m.new_bool().lit()).collect())
             .collect();
         for row in &vars {
             m.at_least_one(row);
@@ -935,8 +945,8 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let mut m = Model::new();
-        let a = m.new_bool("a");
-        let b = m.new_bool("b");
+        let a = m.new_bool();
+        let b = m.new_bool();
         m.add_clause([a.lit(), b.lit()]);
         let _ = m.solve();
         assert!(m.last_stats().decisions <= 2);
@@ -950,15 +960,11 @@ mod tests {
         // keep the trivial solve's figures trivial.
         let mut m = Model::new();
         m.set_warm_start(true);
-        let x = m.new_int("x");
+        let x = m.new_int();
         m.int_bounds(x, 0, 3);
         m.push();
         let vars: Vec<Vec<Lit>> = (0..6)
-            .map(|i| {
-                (0..5)
-                    .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                    .collect()
-            })
+            .map(|_| (0..5).map(|_| m.new_bool().lit()).collect())
             .collect();
         for row in &vars {
             m.at_least_one(row);
@@ -995,18 +1001,14 @@ mod tests {
     fn warm_model_with_history() -> Model {
         let mut m = Model::new();
         m.set_warm_start(true);
-        let x = m.new_int("x");
-        let y = m.new_int("y");
+        let x = m.new_int();
+        let y = m.new_int();
         m.int_bounds(x, 0, 10);
         m.int_bounds(y, 0, 10);
         m.assert_diff_le(x, y, -2);
-        let guard = m.new_bool("pigeonhole-guard").lit();
+        let guard = m.new_bool().lit();
         let vars: Vec<Vec<Lit>> = (0..5)
-            .map(|i| {
-                (0..4)
-                    .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                    .collect()
-            })
+            .map(|_| (0..4).map(|_| m.new_bool().lit()).collect())
             .collect();
         for row in &vars {
             let mut clause = vec![!guard];
@@ -1040,8 +1042,8 @@ mod tests {
         // statistics on both models — that is the migration contract.
         let probe = |m: &mut Model| {
             m.push();
-            let a = m.new_int("a");
-            let b = m.new_int("b");
+            let a = m.new_int();
+            let b = m.new_int();
             m.int_bounds(a, 0, 6);
             m.int_bounds(b, 0, 6);
             let first = m.diff_le(a, b, -3);
@@ -1116,8 +1118,8 @@ mod tests {
     #[test]
     fn push_pop_restores_the_model() {
         let mut m = Model::new();
-        let x = m.new_int("x");
-        let y = m.new_int("y");
+        let x = m.new_int();
+        let y = m.new_int();
         m.int_bounds(x, 0, 10);
         m.int_bounds(y, 0, 10);
         m.assert_diff_le(x, y, -2); // x + 2 <= y
@@ -1126,7 +1128,7 @@ mod tests {
 
         m.push();
         assert_eq!(m.scope_depth(), 1);
-        let z = m.new_int("z");
+        let z = m.new_int();
         m.int_bounds(z, 0, 1);
         m.assert_diff_le(y, z, -2); // y + 2 <= z: impossible with z <= 1
         assert!(m.solve().is_unsat());
@@ -1153,7 +1155,7 @@ mod tests {
     #[test]
     fn commit_keeps_the_scope_contents() {
         let mut m = Model::new();
-        let x = m.new_int("x");
+        let x = m.new_int();
         m.int_bounds(x, 0, 100);
         m.push();
         let le = m.le_const(x, 10);
@@ -1167,7 +1169,7 @@ mod tests {
     #[test]
     fn assumptions_do_not_stick() {
         let mut m = Model::new();
-        let x = m.new_int("x");
+        let x = m.new_int();
         m.int_bounds(x, 0, 100);
         let ge50 = m.ge_const(x, 50);
         let le10 = m.le_const(x, 10);
@@ -1186,7 +1188,7 @@ mod tests {
         let build = |warm: bool| {
             let mut m = Model::new();
             m.set_warm_start(warm);
-            let starts: Vec<IntVar> = (0..4).map(|i| m.new_int(format!("s{i}"))).collect();
+            let starts: Vec<IntVar> = (0..4).map(|_| m.new_int()).collect();
             for &s in &starts {
                 m.int_bounds(s, 0, 3);
             }
@@ -1201,7 +1203,7 @@ mod tests {
             verdicts.push(m.solve().is_sat());
             // Probe: a fifth job in the same window is too much.
             m.push();
-            let extra = m.new_int("extra");
+            let extra = m.new_int();
             m.int_bounds(extra, 0, 3);
             for &s in &starts {
                 let before = m.diff_le(extra, s, -1);
@@ -1224,18 +1226,14 @@ mod tests {
     fn warm_cache_is_truncated_on_pop() {
         let mut m = Model::new();
         m.set_warm_start(true);
-        let x = m.new_int("x");
+        let x = m.new_int();
         m.int_bounds(x, 0, 3);
         let _ = m.solve();
         let base_cache = m.warm_cache_len();
         m.push();
         // An unsatisfiable probe that forces learning.
         let vars: Vec<Vec<Lit>> = (0..4)
-            .map(|i| {
-                (0..3)
-                    .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                    .collect()
-            })
+            .map(|_| (0..3).map(|_| m.new_bool().lit()).collect())
             .collect();
         for row in &vars {
             m.at_least_one(row);
@@ -1257,7 +1255,7 @@ mod tests {
     #[test]
     fn empty_clause_makes_model_unsat() {
         let mut m = Model::new();
-        let _ = m.new_bool("a");
+        let _ = m.new_bool();
         m.add_clause(Vec::<Lit>::new());
         assert!(m.solve().is_unsat());
     }

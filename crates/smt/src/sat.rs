@@ -38,6 +38,20 @@
 //! every statistic, is a function of the activities alone, not of how the
 //! heap happens to be laid out.
 //!
+//! # Clause storage
+//!
+//! Every stored clause's literals sit back to back in one arena, and a
+//! clause is a small header (offset, length, learned flag, activity) in a
+//! vector indexed by clause number. Watchers and reasons name that number.
+//! Adding a clause sorts, deduplicates and filters it in one scratch buffer
+//! the solver keeps and appends it to the arena, so building a solver
+//! allocates per clause nothing but arena space; [`Solver::reserve_vars`]
+//! and [`Solver::reserve_clauses`] size the per-variable arrays, the arena
+//! and every watch list before the first variable and clause go in.
+//! Clause-DB reduction deletes headers and slides the surviving literals
+//! down over the gaps, keeping clause order, so the renumbering it applies
+//! to watchers and reasons is the same as for a vector of owned clauses.
+//!
 //! Each variable's difference atom, if it is a proxy, sits in a dense table
 //! indexed by the variable, so theory propagation looks it up without
 //! hashing. The same-pair slices are one flat array, built before a solve by
@@ -181,15 +195,28 @@ pub enum SatResult {
     Unknown,
 }
 
-#[derive(Debug, Clone)]
+/// One clause of the database: where its literals sit in the literal
+/// arena, and how it ranks for clause-DB reduction.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    /// Offset of the clause's first literal in `Solver::lits`.
+    start: u32,
+    /// Number of literals: at least two, except in a theory lemma, which is
+    /// analyzed at once and never watched.
+    len: u32,
     /// Whether the clause was learned during search. Only learned clauses
     /// are eligible for clause-DB reduction.
     learned: bool,
     /// Bump-and-decay activity: raised whenever the clause participates in
     /// conflict analysis, used to rank reduction victims.
     activity: f64,
+}
+
+impl Clause {
+    /// The clause's literals as a range of `Solver::lits`.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -201,9 +228,13 @@ struct Watcher {
 /// The CDCL(T) solver. Built and driven by [`Model`](crate::Model).
 #[derive(Debug)]
 pub struct Solver {
-    // Clause database.
+    // Clause database: one header per clause, in creation order, over one
+    // literal arena (`lits`) that holds every clause back to back.
     clauses: Vec<Clause>,
+    lits: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
+    // `add_clause`'s sort-dedup-filter buffer, kept across calls.
+    add_scratch: Vec<Lit>,
     // Assignment state.
     assigns: Vec<Value>,
     phase: Vec<bool>,
@@ -255,7 +286,9 @@ impl Solver {
     pub fn new(theory: DifferenceLogic) -> Self {
         Solver {
             clauses: Vec::new(),
+            lits: Vec::new(),
             watches: Vec::new(),
+            add_scratch: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
@@ -281,6 +314,49 @@ impl Solver {
             found_empty_clause: false,
             learned_units: Vec::new(),
             stats: SolverStats::default(),
+        }
+    }
+
+    /// Makes room for `additional` more variables in every per-variable
+    /// array, so that creating them reallocates nothing.
+    pub fn reserve_vars(&mut self, additional: usize) {
+        self.assigns.reserve(additional);
+        self.phase.reserve(additional);
+        self.level.reserve(additional);
+        self.reason.reserve(additional);
+        self.activity.reserve(additional);
+        self.seen.reserve(additional);
+        self.watches.reserve(2 * additional);
+        self.atoms.reserve(additional);
+        self.pair_of.reserve(additional);
+        self.antecedent.reserve(additional);
+        self.heap_pos.reserve(additional);
+        self.heap.reserve(additional);
+    }
+
+    /// Makes room for `clauses`, all over existing variables, before they
+    /// are added: the clause arena and headers grow once, and each watch
+    /// list once, to the number of clauses holding its literal's complement
+    /// (a clause is watched on two of its literals, so that bounds it).
+    pub fn reserve_clauses<'c>(&mut self, clauses: impl Iterator<Item = &'c [Lit]>) {
+        let mut occurrences = vec![0u32; self.watches.len()];
+        let (mut count, mut lits) = (0, 0);
+        for clause in clauses {
+            count += 1;
+            lits += clause.len();
+            for &l in clause {
+                occurrences[l.complement().code()] += 1;
+            }
+        }
+        self.clauses.reserve(count);
+        self.lits.reserve(lits);
+        // Rounded up as pushing would have grown it: propagation moves
+        // watchers between lists, and an exact fit would reallocate on the
+        // first move in.
+        for (list, &n) in self.watches.iter_mut().zip(&occurrences) {
+            if n > 0 {
+                list.reserve_exact((n as usize).next_power_of_two().max(4));
+            }
         }
     }
 
@@ -373,8 +449,8 @@ impl Solver {
         out.extend(
             self.clauses
                 .iter()
-                .filter(|c| c.learned && c.lits.len() <= max_len)
-                .map(|c| c.lits.clone()),
+                .filter(|c| c.learned && c.len as usize <= max_len)
+                .map(|c| self.lits[c.range()].to_vec()),
         );
         out
     }
@@ -428,11 +504,24 @@ impl Solver {
     }
 
     /// Adds a clause. Must be called before `solve`; clauses added at
-    /// decision level 0 only.
-    pub fn add_clause(&mut self, mut lits: Vec<Lit>) {
+    /// decision level 0 only. The literals are sorted, deduplicated and
+    /// filtered against the level-0 assignment in one buffer the solver
+    /// keeps, so adding a clause allocates nothing but its arena space.
+    pub fn add_clause(&mut self, lits: &[Lit]) {
         debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
-        // Remove duplicates and detect tautologies.
-        lits.sort_by_key(|l| l.code());
+        let mut scratch = std::mem::take(&mut self.add_scratch);
+        scratch.clear();
+        scratch.extend_from_slice(lits);
+        self.add_sorted_clause(&mut scratch);
+        self.add_scratch = scratch;
+    }
+
+    /// The body of [`add_clause`](Solver::add_clause) over its scratch copy
+    /// of the literals.
+    fn add_sorted_clause(&mut self, lits: &mut Vec<Lit>) {
+        // Remove duplicates and detect tautologies. Equal codes are equal
+        // literals, so the unstable sort orders exactly as a stable one.
+        lits.sort_unstable_by_key(|l| l.code());
         lits.dedup();
         for w in lits.windows(2) {
             if w[0].var() == w[1].var() {
@@ -440,42 +529,63 @@ impl Solver {
             }
         }
         // Drop literals already false at level 0, stop if any is true.
-        let mut filtered = Vec::with_capacity(lits.len());
-        for &l in &lits {
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
             match self.lit_value(l) {
                 Value::True => return,
                 Value::False => {}
-                Value::Unassigned => filtered.push(l),
+                Value::Unassigned => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match filtered.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.found_empty_clause = true;
             }
             1 => {
                 // Unit clause: assign immediately at level 0.
-                if !self.enqueue(filtered[0], None) {
+                if !self.enqueue(lits[0], None) {
                     self.found_empty_clause = true;
                 }
             }
             _ => {
-                let idx = self.clauses.len();
-                self.watches[filtered[0].complement().code()].push(Watcher {
-                    clause: idx,
-                    blocker: filtered[1],
-                });
-                self.watches[filtered[1].complement().code()].push(Watcher {
-                    clause: idx,
-                    blocker: filtered[0],
-                });
-                self.clauses.push(Clause {
-                    lits: filtered,
-                    learned: false,
-                    activity: 0.0,
-                });
-                self.note_clause_peak();
+                let idx = self.store_clause(lits, false, 0.0);
+                self.watch_clause(idx, lits[0], lits[1]);
             }
         }
+    }
+
+    /// Appends a clause to the database, unwatched. Returns its index.
+    fn store_clause(&mut self, lits: &[Lit], learned: bool, activity: f64) -> usize {
+        let idx = self.clauses.len();
+        // Offsets are `u32`: the end bound covers the start and the length.
+        let start = self.lits.len();
+        u32::try_from(start + lits.len()).expect("clause arena exceeds 2^32 literals");
+        self.lits.extend_from_slice(lits);
+        self.clauses.push(Clause {
+            start: start as u32,
+            len: lits.len() as u32,
+            learned,
+            activity,
+        });
+        self.note_clause_peak();
+        idx
+    }
+
+    /// Watches clause `idx` on its first two literals, `first` and `second`.
+    fn watch_clause(&mut self, idx: usize, first: Lit, second: Lit) {
+        self.watches[first.complement().code()].push(Watcher {
+            clause: idx,
+            blocker: second,
+        });
+        self.watches[second.complement().code()].push(Watcher {
+            clause: idx,
+            blocker: first,
+        });
     }
 
     /// Records the clause-database high-water mark.
@@ -525,15 +635,14 @@ impl Solver {
                     continue;
                 }
                 let clause_idx = w.clause;
+                let range = self.clauses[clause_idx].range();
+                let start = range.start;
                 // Normalize: ensure the falsified literal is at position 1.
                 let watched = falsified.complement();
-                {
-                    let clause = &mut self.clauses[clause_idx];
-                    if clause.lits[0] == watched {
-                        clause.lits.swap(0, 1);
-                    }
+                if self.lits[start] == watched {
+                    self.lits.swap(start, start + 1);
                 }
-                let first = self.clauses[clause_idx].lits[0];
+                let first = self.lits[start];
                 if first != w.blocker && self.lit_value(first) == Value::True {
                     watchers[i] = Watcher {
                         clause: clause_idx,
@@ -544,22 +653,18 @@ impl Solver {
                 }
                 // Look for a new literal to watch.
                 let mut new_watch = None;
-                {
-                    let clause = &self.clauses[clause_idx];
-                    for (pos, &l) in clause.lits.iter().enumerate().skip(2) {
-                        if self.lit_value(l) != Value::False {
-                            new_watch = Some(pos);
-                            break;
-                        }
+                for pos in start + 2..range.end {
+                    if self.lit_value(self.lits[pos]) != Value::False {
+                        new_watch = Some(pos);
+                        break;
                     }
                 }
                 if let Some(pos) = new_watch {
-                    let clause = &mut self.clauses[clause_idx];
-                    clause.lits.swap(1, pos);
-                    let new_lit = clause.lits[1];
+                    self.lits.swap(start + 1, pos);
+                    let new_lit = self.lits[start + 1];
                     self.watches[new_lit.complement().code()].push(Watcher {
                         clause: clause_idx,
-                        blocker: clause.lits[0],
+                        blocker: first,
                     });
                     // Remove from current watcher list (swap_remove keeps it O(1)).
                     watchers.swap_remove(i);
@@ -814,20 +919,17 @@ impl Solver {
                 }
                 Some(ci) => {
                     self.bump_clause(ci);
-                    // Take the literals out of the clause instead of cloning
-                    // them: `analyze_visit` needs `&mut self`, and moving
-                    // the Vec out (and back) costs nothing.
-                    let reason_lits = std::mem::take(&mut self.clauses[ci].lits);
                     // Skip the literal we are currently resolving on (the
                     // clause is its reason); everything else is an
-                    // antecedent.
+                    // antecedent. `analyze_visit` leaves the arena alone, so
+                    // the literals are read in place, by position.
                     let resolved_var = asserting.map(|l| l.var());
-                    for &l in &reason_lits {
+                    for pos in self.clauses[ci].range() {
+                        let l = self.lits[pos];
                         if Some(l.var()) != resolved_var {
                             self.analyze_visit(l, epoch, &mut counter, &mut learned);
                         }
                     }
-                    self.clauses[ci].lits = reason_lits;
                 }
                 None => {}
             }
@@ -898,23 +1000,9 @@ impl Solver {
             debug_assert!(ok);
             return;
         }
-        let idx = self.clauses.len();
-        self.watches[lits[0].complement().code()].push(Watcher {
-            clause: idx,
-            blocker: lits[1],
-        });
-        self.watches[lits[1].complement().code()].push(Watcher {
-            clause: idx,
-            blocker: lits[0],
-        });
-        let asserting = lits[0];
-        self.clauses.push(Clause {
-            lits,
-            learned: true,
-            activity: self.cla_inc,
-        });
-        self.note_clause_peak();
-        let ok = self.enqueue(asserting, Some(idx));
+        let idx = self.store_clause(&lits, true, self.cla_inc);
+        self.watch_clause(idx, lits[0], lits[1]);
+        let ok = self.enqueue(lits[0], Some(idx));
         debug_assert!(ok);
     }
 
@@ -933,7 +1021,7 @@ impl Solver {
             }
         }
         let mut removable: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].learned && self.clauses[i].lits.len() > 2 && !locked[i])
+            .filter(|&i| self.clauses[i].learned && self.clauses[i].len > 2 && !locked[i])
             .collect();
         if removable.len() < 2 {
             return;
@@ -957,15 +1045,26 @@ impl Solver {
         for wlist in &mut self.watches {
             wlist.retain(|w| !delete[w.clause]);
         }
+        // Survivors keep their order, and their literals slide down the
+        // arena over the gaps the victims leave.
         let mut remap = vec![usize::MAX; self.clauses.len()];
-        let mut kept = Vec::with_capacity(self.clauses.len() - victims.len());
-        for (i, clause) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if !delete[i] {
-                remap[i] = kept.len();
-                kept.push(clause);
+        let (mut kept, mut end) = (0, 0);
+        for i in 0..self.clauses.len() {
+            if delete[i] {
+                continue;
             }
+            let clause = self.clauses[i];
+            self.lits.copy_within(clause.range(), end);
+            self.clauses[kept] = Clause {
+                start: end as u32,
+                ..clause
+            };
+            remap[i] = kept;
+            kept += 1;
+            end += clause.len as usize;
         }
-        self.clauses = kept;
+        self.clauses.truncate(kept);
+        self.lits.truncate(end);
         for wlist in &mut self.watches {
             for w in wlist.iter_mut() {
                 w.clause = remap[w.clause];
@@ -1091,19 +1190,8 @@ impl Solver {
                         let mark = telemetry.mark();
                         let theory_conflict = self.theory_propagate();
                         telemetry.theory_ns += telemetry.lap(mark);
-                        match theory_conflict {
-                            Some(lits) => {
-                                let idx = self.clauses.len();
-                                self.clauses.push(Clause {
-                                    lits,
-                                    learned: true,
-                                    activity: 0.0,
-                                });
-                                self.note_clause_peak();
-                                Some(idx)
-                            }
-                            None => None,
-                        }
+                        // The lemma is analyzed at once and never watched.
+                        theory_conflict.map(|lits| self.store_clause(&lits, true, 0.0))
                     }
                 }
             };
@@ -1224,16 +1312,16 @@ mod tests {
     fn trivially_sat_and_unsat() {
         let mut s = Solver::new(DifferenceLogic::new());
         let v: Vec<BoolVar> = (0..2).map(|_| s.new_var()).collect();
-        s.add_clause(vec![v[0].lit()]);
-        s.add_clause(vec![v[1].negated()]);
+        s.add_clause(&[v[0].lit()]);
+        s.add_clause(&[v[1].negated()]);
         assert_eq!(s.solve(Limits::default()), SatResult::Sat);
         assert_eq!(s.value(v[0]), Value::True);
         assert_eq!(s.value(v[1]), Value::False);
 
         let mut s = Solver::new(DifferenceLogic::new());
         let v = s.new_var();
-        s.add_clause(vec![v.lit()]);
-        s.add_clause(vec![v.negated()]);
+        s.add_clause(&[v.lit()]);
+        s.add_clause(&[v.negated()]);
         assert_eq!(s.solve(Limits::default()), SatResult::Unsat);
     }
 
@@ -1241,7 +1329,7 @@ mod tests {
     fn empty_clause_is_unsat() {
         let mut s = Solver::new(DifferenceLogic::new());
         let _ = s.new_var();
-        s.add_clause(vec![]);
+        s.add_clause(&[]);
         assert_eq!(s.solve(Limits::default()), SatResult::Unsat);
     }
 
@@ -1250,9 +1338,9 @@ mod tests {
         // (a) and (!a | b) and (!b | c) forces c.
         let mut s = Solver::new(DifferenceLogic::new());
         let v: Vec<BoolVar> = (0..3).map(|_| s.new_var()).collect();
-        s.add_clause(lits(&v, &[(0, true)]));
-        s.add_clause(lits(&v, &[(0, false), (1, true)]));
-        s.add_clause(lits(&v, &[(1, false), (2, true)]));
+        s.add_clause(&lits(&v, &[(0, true)]));
+        s.add_clause(&lits(&v, &[(0, false), (1, true)]));
+        s.add_clause(&lits(&v, &[(1, false), (2, true)]));
         assert_eq!(s.solve(Limits::default()), SatResult::Sat);
         assert_eq!(s.value(v[2]), Value::True);
     }
@@ -1267,12 +1355,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(vec![row[0].lit(), row[1].lit()]);
+            s.add_clause(&[row[0].lit(), row[1].lit()]);
         }
         for h in 0..2 {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1289,12 +1377,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(row.iter().map(|v| v.lit()).collect());
+            s.add_clause(&row.iter().map(|v| v.lit()).collect::<Vec<_>>());
         }
         for h in 0..4 {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1316,7 +1404,7 @@ mod tests {
         let y = s.theory_mut().new_var();
         s.attach_atom(a, DiffAtom { x, y, k: -1 });
         s.attach_atom(b, DiffAtom { x: y, y: x, k: -1 });
-        s.add_clause(vec![a.lit(), b.lit()]);
+        s.add_clause(&[a.lit(), b.lit()]);
         assert_eq!(s.solve(Limits::default()), SatResult::Sat);
         let a_true = s.value(a) == Value::True;
         let b_true = s.value(b) == Value::True;
@@ -1333,8 +1421,8 @@ mod tests {
         let y = s.theory_mut().new_var();
         s.attach_atom(a, DiffAtom { x, y, k: -1 });
         s.attach_atom(b, DiffAtom { x: y, y: x, k: -1 });
-        s.add_clause(vec![a.lit()]);
-        s.add_clause(vec![b.lit()]);
+        s.add_clause(&[a.lit()]);
+        s.add_clause(&[b.lit()]);
         assert_eq!(s.solve(Limits::default()), SatResult::Unsat);
     }
 
@@ -1346,7 +1434,7 @@ mod tests {
         let x = s.theory_mut().new_var();
         let y = s.theory_mut().new_var();
         s.attach_atom(a, DiffAtom { x, y, k: 5 });
-        s.add_clause(vec![a.negated()]);
+        s.add_clause(&[a.negated()]);
         assert_eq!(s.solve(Limits::default()), SatResult::Sat);
         let vx = s.theory().value(x);
         let vy = s.theory().value(y);
@@ -1400,7 +1488,7 @@ mod tests {
                 DiffAtom { x: y, y: x, k }
             };
             s.attach_atom(candidate, atom);
-            s.add_clause(vec![if edge_true {
+            s.add_clause(&[if edge_true {
                 edge.lit()
             } else {
                 edge.negated()
@@ -1431,7 +1519,7 @@ mod tests {
         let mut s = Solver::new(DifferenceLogic::new());
         let a = s.new_var();
         let b = s.new_var();
-        s.add_clause(vec![a.lit(), b.lit()]);
+        s.add_clause(&[a.lit(), b.lit()]);
         assert_eq!(
             s.solve_under(&[a.negated()], Limits::default()),
             SatResult::Sat
@@ -1473,12 +1561,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(vec![row[0].lit(), row[1].lit()]);
+            s.add_clause(&[row[0].lit(), row[1].lit()]);
         }
         for h in 0..2 {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1496,12 +1584,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(row.iter().map(|v| v.lit()).collect());
+            s.add_clause(&row.iter().map(|v| v.lit()).collect::<Vec<_>>());
         }
         for h in 0..holes {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1550,12 +1638,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(row.iter().map(|v| v.lit()).collect());
+            s.add_clause(&row.iter().map(|v| v.lit()).collect::<Vec<_>>());
         }
         for h in 0..holes {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1591,12 +1679,12 @@ mod tests {
             p.push(row);
         }
         for row in &p {
-            s.add_clause(row.iter().map(|v| v.lit()).collect());
+            s.add_clause(&row.iter().map(|v| v.lit()).collect::<Vec<_>>());
         }
         for h in 0..n {
             for (i, row_i) in p.iter().enumerate() {
                 for row_j in &p[(i + 1)..] {
-                    s.add_clause(vec![row_i[h].negated(), row_j[h].negated()]);
+                    s.add_clause(&[row_i[h].negated(), row_j[h].negated()]);
                 }
             }
         }
@@ -1695,7 +1783,7 @@ mod tests {
                 })
                 .collect();
             for c in &clauses {
-                s.add_clause(c.clone());
+                s.add_clause(c);
             }
             let seeded_inc = match round % 3 {
                 // Cold: every activity 0, so the index alone decides at first.

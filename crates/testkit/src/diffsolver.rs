@@ -262,12 +262,17 @@ pub struct BuiltModel {
 /// which need to keep driving the model after the replay).
 pub fn build_model(inst: &DiffInstance) -> BuiltModel {
     let mut model = Model::new();
-    let bools: Vec<_> = (0..inst.num_bools)
-        .map(|i| model.new_bool(format!("b{i}")))
-        .collect();
-    let ints: Vec<IntVar> = (0..inst.num_ints)
-        .map(|i| model.new_int(format!("x{i}")))
-        .collect();
+    let (lits, ints) = replay_into(&mut model, inst);
+    BuiltModel { model, lits, ints }
+}
+
+/// Replays a [`DiffInstance`] onto an existing [`Model`] over fresh
+/// variables, so several instances can share one model as a disjoint
+/// conjunction. Returns the positive literal per instance Boolean index and
+/// the model variable per instance integer index, as in [`BuiltModel`].
+pub fn replay_into(model: &mut Model, inst: &DiffInstance) -> (Vec<Lit>, Vec<IntVar>) {
+    let bools: Vec<_> = (0..inst.num_bools).map(|_| model.new_bool()).collect();
+    let ints: Vec<IntVar> = (0..inst.num_ints).map(|_| model.new_int()).collect();
     let proxies: Vec<Lit> = inst
         .atoms
         .iter()
@@ -297,7 +302,7 @@ pub fn build_model(inst: &DiffInstance) -> BuiltModel {
             .collect();
         model.add_clause(clause_lits);
     }
-    BuiltModel { model, lits, ints }
+    (lits, ints)
 }
 
 /// Replays the instance onto a [`Model`] and solves it.

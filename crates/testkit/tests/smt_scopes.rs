@@ -92,13 +92,9 @@ fn probe_set(
 /// with a zero threshold, for actual clause deletion), while assuming its
 /// negation leaves the rest of the model as it was.
 fn gated_pigeonhole(m: &mut Model) -> Lit {
-    let gate = m.new_bool("gate").lit();
+    let gate = m.new_bool().lit();
     let vars: Vec<Vec<Lit>> = (0..6)
-        .map(|i| {
-            (0..5)
-                .map(|j| m.new_bool(format!("p{i}h{j}")).lit())
-                .collect()
-        })
+        .map(|_| (0..5).map(|_| m.new_bool().lit()).collect())
         .collect();
     for row in &vars {
         let mut clause = vec![!gate];
