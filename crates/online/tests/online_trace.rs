@@ -380,3 +380,53 @@ fn warm_session_accumulates_and_marks_reports() {
         "the session must retain the pinned reservations"
     );
 }
+
+/// Folds `bytes` into the FNV-1a (64-bit) hash state `hash`.
+fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn the_benchmark_trace_takes_a_pinned_search() {
+    // The `online_churn` benchmark's timed trace (8-switch grid, 10 slots,
+    // 110 events, load 0.8, seed 1), replayed on one warm engine. The
+    // summed solver decisions and conflicts, the decision sequence and the
+    // final session snapshot's wire bytes are pinned: a change to how the
+    // solver is built or searches must not move any of them unless it
+    // means to.
+    let scenario = DynamicScenario {
+        topology: DynamicTopology::Grid { switches: 8 },
+        slots: 10,
+        events: 110,
+        load: 0.8,
+        seed: 1,
+    };
+    let (network, events) = event_trace(&scenario);
+    let mut engine = engine_for(&network);
+    engine.set_clock(std::sync::Arc::new(tsn_telemetry::ManualClock::new()));
+    let (mut decisions, mut conflicts, mut sequence) = (0u64, 0u64, 0xcbf2_9ce4_8422_2325);
+    for event in events {
+        let report = engine.process(event);
+        decisions += report.solver_decisions;
+        conflicts += report.solver_conflicts;
+        sequence = fnv1a64(sequence, format!("{:?}\n", report.decision).as_bytes());
+    }
+    let line = tsn_online::wire::session_snapshot_to_json(&engine.export_session()).to_string();
+    let snapshot = fnv1a64(0xcbf2_9ce4_8422_2325, line.as_bytes());
+    assert_eq!(
+        (decisions, conflicts),
+        (16_932, 579),
+        "the online search moved"
+    );
+    assert_eq!(
+        sequence, 0x92ee_0b2d_e9ce_711a,
+        "the decision sequence moved"
+    );
+    assert_eq!(
+        (line.len(), snapshot),
+        (190_578, 0x4279_ce91_2e39_5b37),
+        "the final snapshot moved"
+    );
+}

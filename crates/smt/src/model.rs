@@ -1,11 +1,17 @@
 //! High-level model builder: variables, clauses, difference atoms and
 //! convenience constraints, plus model extraction. Variables are unnamed
 //! indices and clauses share one flat literal store (see [`Model`]).
+//!
+//! Every solve hands the search the solver a build from every clause, in
+//! model order, produces. While a scope is open, the model keeps the part
+//! of that build below the innermost scope's mark (its *image*) and each
+//! solve copies the image and adds only the rest; see "Solver images" on
+//! [`Model`].
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use crate::sat::{Limits, SatResult, Solver};
+use crate::sat::{Limits, SatResult, Solver, WatchLists};
 use crate::theory::{DiffAtom, DifferenceLogic};
 use crate::types::{BoolVar, IntVar, Lit, Value};
 use crate::{SmtError, SolverStats};
@@ -79,17 +85,48 @@ impl Assignment {
     }
 }
 
+/// The sizes of a [`Model`]'s growable stores: at a scope's push, or as far
+/// as a solver image holds them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sizes {
+    bools: usize,
+    ints: usize,
+    clauses: usize,
+    clause_lits: usize,
+    atoms: usize,
+}
+
+impl Sizes {
+    /// Whether every store is at least as large as in `other`.
+    fn covers(&self, other: &Sizes) -> bool {
+        self.bools >= other.bools
+            && self.ints >= other.ints
+            && self.clauses >= other.clauses
+            && self.clause_lits >= other.clause_lits
+            && self.atoms >= other.atoms
+    }
+}
+
 /// One recorded [`Model::push`] scope: the sizes of every growable store at
 /// push time, so [`Model::pop`] can truncate back to them.
 #[derive(Debug, Clone, Copy)]
 struct ScopeMark {
-    num_bools: usize,
-    num_ints: usize,
-    num_clauses: usize,
-    num_clause_lits: usize,
-    num_atoms: usize,
+    sizes: Sizes,
     zero: Option<IntVar>,
     learned: usize,
+}
+
+/// A solver built from the model's stores up to `sizes`: variables and
+/// atoms, clauses (level-0 units enqueued) and the same-pair index. No
+/// warm-start seed, no learned clause and no propagation: exactly the
+/// first part of every build, whatever comes after it. `lists` are the
+/// emptied watch lists of the last solve, which the next build refills
+/// instead of allocating its own.
+#[derive(Debug)]
+struct Image {
+    solver: Solver,
+    sizes: Sizes,
+    lists: WatchLists,
 }
 
 /// Upper bound on the number of literals of a learned clause worth caching
@@ -141,10 +178,10 @@ pub struct ModelState {
 /// A satisfiability-modulo-theories model over Booleans and integer
 /// difference constraints.
 ///
-/// The model is a pure builder: constraints are collected and handed to a
-/// fresh CDCL(T) [`Solver`] on every [`solve`](Model::solve) call, which
-/// keeps repeated solving (e.g. the incremental-synthesis heuristic)
-/// deterministic and free of hidden state.
+/// The model is a pure builder: every [`solve`](Model::solve) call searches
+/// with the CDCL(T) [`Solver`] a build from the model's clauses alone
+/// produces, which keeps repeated solving (e.g. the incremental-synthesis
+/// heuristic) deterministic and free of hidden state.
 ///
 /// Variables are bare indices: the model keeps no names for them. Clauses
 /// live in one flat literal store plus the end offset of each clause, so
@@ -168,6 +205,28 @@ pub struct ModelState {
 ///   from, so the cache is truncated on `pop` back to its push-time size —
 ///   anything learned while the popped constraints were present is dropped,
 ///   keeping the cache sound under retraction.
+///
+/// # Solver images
+///
+/// Online use solves inside a scope, and most clauses lie below it,
+/// unchanged since the last solve. So while a scope is open, a solve
+/// builds (or extends) an *image*: a solver holding the stores below the
+/// innermost scope's mark, with atoms attached, clauses added, level-0
+/// units enqueued and the same-pair index built. Each solve copies the
+/// image and adds the rest in the order a build from scratch would: the
+/// remaining variables and atoms, the warm-start seed, the remaining
+/// clauses, the learned cache. The image holds no watcher: a solver
+/// watches its clauses when its search starts, in clause order, so the
+/// copy watches them there as a build from scratch would, and it refills
+/// the watch lists the previous solve left instead of allocating its own.
+/// The result is that build, field for field; debug builds check it on
+/// every solve that starts from an image.
+///
+/// * A model never solved inside a scope keeps no image and no watch list.
+/// * [`commit`](Model::commit) keeps the image; the next solve extends it
+///   up to the innermost mark.
+/// * [`pop`](Model::pop) below the image's extent drops it.
+/// * [`from_state`](Model::from_state) starts without one.
 ///
 /// # Example
 ///
@@ -211,6 +270,8 @@ pub struct Model {
     zero: Option<IntVar>,
     /// Open scopes, innermost last.
     scopes: Vec<ScopeMark>,
+    /// The kept solver image (see "Solver images" above).
+    image: Option<Box<Image>>,
     /// Whether solve calls carry learned clauses / phases / activities over.
     warm_start: bool,
     /// Learned clauses harvested from previous solve calls (warm start).
@@ -259,14 +320,33 @@ impl Model {
         self.clause_ends.len()
     }
 
+    /// The current sizes of the growable stores.
+    fn sizes(&self) -> Sizes {
+        Sizes {
+            bools: self.num_bools,
+            ints: self.num_ints,
+            clauses: self.clause_ends.len(),
+            clause_lits: self.clause_lits.len(),
+            atoms: self.atoms.len(),
+        }
+    }
+
     /// The clauses in creation order, each as a slice of the flat store.
     fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
-        let mut start = 0;
-        self.clause_ends.iter().map(move |&end| {
-            let clause = &self.clause_lits[start..end];
-            start = end;
-            clause
-        })
+        self.clauses_between(Sizes::default(), self.sizes())
+    }
+
+    /// The clauses added after the stores had sizes `from` and before they
+    /// had `to`, in creation order.
+    fn clauses_between(&self, from: Sizes, to: Sizes) -> impl Iterator<Item = &[Lit]> + '_ {
+        let mut start = from.clause_lits;
+        self.clause_ends[from.clauses..to.clauses]
+            .iter()
+            .map(move |&end| {
+                let clause = &self.clause_lits[start..end];
+                start = end;
+                clause
+            })
     }
 
     /// Statistics of the most recent [`solve`](Model::solve) call.
@@ -383,11 +463,7 @@ impl Model {
     /// [`commit`](Model::commit)).
     pub fn push(&mut self) {
         self.scopes.push(ScopeMark {
-            num_bools: self.num_bools,
-            num_ints: self.num_ints,
-            num_clauses: self.clause_ends.len(),
-            num_clause_lits: self.clause_lits.len(),
-            num_atoms: self.atoms.len(),
+            sizes: self.sizes(),
             zero: self.zero,
             learned: self.learned_cache.len(),
         });
@@ -396,32 +472,40 @@ impl Model {
     /// Discards the innermost scope, restoring the model to its state at the
     /// matching [`push`](Model::push). Warm-start state (learned clauses,
     /// phases, activities) referring to the discarded constraints is dropped
-    /// with it.
+    /// with it, and so is a solver image that holds any of them.
     ///
     /// # Panics
     ///
     /// Panics if no scope is open.
     pub fn pop(&mut self) {
         let mark = self.scopes.pop().expect("pop without a matching push");
-        for atom in self.atoms.drain(mark.num_atoms..) {
+        let sizes = mark.sizes;
+        if self
+            .image
+            .as_ref()
+            .is_some_and(|image| !sizes.covers(&image.sizes))
+        {
+            self.image = None;
+        }
+        for atom in self.atoms.drain(sizes.atoms..) {
             self.atom_index
                 .remove(&(atom.x as u32, atom.y as u32, atom.k));
         }
-        self.atom_proxy.truncate(mark.num_atoms);
-        self.clause_ends.truncate(mark.num_clauses);
-        self.clause_lits.truncate(mark.num_clause_lits);
-        self.num_bools = mark.num_bools;
-        self.num_ints = mark.num_ints;
+        self.atom_proxy.truncate(sizes.atoms);
+        self.clause_ends.truncate(sizes.clauses);
+        self.clause_lits.truncate(sizes.clause_lits);
+        self.num_bools = sizes.bools;
+        self.num_ints = sizes.ints;
         self.zero = mark.zero;
         self.learned_cache.truncate(mark.learned);
-        self.saved_phase.truncate(mark.num_bools);
-        self.saved_activity.truncate(mark.num_bools);
+        self.saved_phase.truncate(sizes.bools);
+        self.saved_activity.truncate(sizes.bools);
     }
 
     /// Closes the innermost scope *keeping* its contents: the variables and
     /// constraints added since the matching [`push`](Model::push) become part
     /// of the enclosing scope. This is the accept path of a push/solve/commit
-    /// probe.
+    /// probe. A solver image stays: it still holds a prefix of the model.
     ///
     /// # Panics
     ///
@@ -599,6 +683,7 @@ impl Model {
             num_ints: state.ints,
             zero: state.zero.map(IntVar),
             scopes: Vec::new(),
+            image: None,
             warm_start: state.warm_start,
             learned_cache: state.learned.into_iter().map(lits).collect(),
             saved_phase: state.phase,
@@ -626,42 +711,35 @@ impl Model {
         assumptions: &[Lit],
         options: SolveOptions,
     ) -> Outcome {
-        // Every call builds its solver afresh from every clause; the span
-        // keeps that cost apart from `smt.solve`'s search.
+        // Every call searches with the solver a build from every clause
+        // gives. Inside a scope that build starts from the image of the
+        // clauses below the innermost mark, made or extended here; the span
+        // covers image, copy and extension, apart from `smt.solve`'s search.
         let build_span = tsn_telemetry::span!("smt.build");
-        let mut theory = DifferenceLogic::new();
-        for _ in 0..self.num_ints {
-            theory.new_var();
+        if let Some(mark) = self.scopes.last() {
+            let below = mark.sizes;
+            self.extend_image(below);
         }
-        let mut solver = Solver::new(theory);
-        solver.reserve_vars(self.num_bools);
-        for _ in 0..self.num_bools {
-            solver.new_var();
-        }
-        solver.reserve_clauses(
-            self.clauses()
-                .chain(self.learned_cache.iter().map(Vec::as_slice)),
-        );
-        for (atom, proxy) in self.atoms.iter().zip(self.atom_proxy.iter()) {
-            solver.attach_atom(*proxy, *atom);
-        }
-        if self.warm_start {
-            solver.seed_phases(&self.saved_phase);
-            solver.seed_activity(&self.saved_activity, self.saved_var_inc);
-        }
-        for clause in self.clauses() {
-            solver.add_clause(clause);
-        }
-        // Learned clauses from earlier solve calls are consequences of (a
-        // prefix of) the clauses just added, so replaying them is sound and
-        // lets the solver skip re-deriving them.
-        for clause in &self.learned_cache {
-            solver.add_clause(clause);
-        }
+        let mut image = self.image.take();
+        let mut solver = match &mut image {
+            Some(image) => {
+                let lists = std::mem::take(&mut image.lists);
+                self.build_from(&image.solver, image.sizes, lists)
+            }
+            None => self.build_from_scratch(),
+        };
         drop(build_span);
-        // Solver statistics are cumulative over the solver's lifetime;
-        // subtract a pre-solve snapshot so `last_stats` is per-call even if
-        // the solver construction above ever starts being reused.
+        #[cfg(debug_assertions)]
+        if image.is_some() {
+            let mut fresh = self.build_from_scratch();
+            fresh.index_pairs();
+            solver.index_pairs();
+            solver.assert_same_state(&fresh);
+        }
+        self.image = image;
+        // Solver statistics are cumulative over the solver's lifetime, and
+        // a copy of an image carries the image's; subtract a pre-solve
+        // snapshot so `last_stats` is per-call.
         let baseline = solver.stats().clone();
         let result = solver.solve_under(
             assumptions,
@@ -674,6 +752,9 @@ impl Model {
         self.last_stats = solver.stats().delta_since(&baseline);
         if self.warm_start {
             self.harvest_warm_state(&solver);
+        }
+        if let Some(image) = &mut self.image {
+            image.lists = solver.take_watch_lists();
         }
         match result {
             SatResult::Unsat => Outcome::Unsat,
@@ -691,6 +772,88 @@ impl Model {
                     .collect();
                 Outcome::Sat(Assignment { bools, ints })
             }
+        }
+    }
+
+    /// The solver of a solve call: a copy of `base`, which holds the stores
+    /// up to `from`, extended by the rest of the model in model order —
+    /// variables and atoms, the warm-start seed, clauses, then the learned
+    /// cache. From an empty solver this is the build from scratch. The
+    /// solver's watch lists are `lists`, refilled.
+    fn build_from(&self, base: &Solver, from: Sizes, lists: WatchLists) -> Solver {
+        let to = self.sizes();
+        let learned_lits: usize = self.learned_cache.iter().map(Vec::len).sum();
+        let mut solver = base.clone_with_room(
+            to.bools - from.bools,
+            to.ints - from.ints,
+            to.clauses - from.clauses + self.learned_cache.len(),
+            to.clause_lits - from.clause_lits + learned_lits,
+            lists,
+        );
+        self.add_variables(&mut solver, from, to);
+        if self.warm_start {
+            solver.seed_phases(&self.saved_phase);
+            solver.seed_activity(&self.saved_activity, self.saved_var_inc);
+        }
+        for clause in self.clauses_between(from, to) {
+            solver.add_clause(clause);
+        }
+        // Learned clauses from earlier solve calls are consequences of (a
+        // prefix of) the clauses just added, so replaying them is sound and
+        // lets the solver skip re-deriving them.
+        for clause in &self.learned_cache {
+            solver.add_clause(clause);
+        }
+        solver.watch_clauses();
+        solver
+    }
+
+    /// The solver of a solve call, built from an empty solver.
+    fn build_from_scratch(&self) -> Solver {
+        let empty = Solver::new(DifferenceLogic::new());
+        self.build_from(&empty, Sizes::default(), WatchLists::default())
+    }
+
+    /// Brings the solver image up to `to`, the innermost scope's mark,
+    /// starting from an empty solver when there is no image. An image
+    /// already past `to` (its scope was committed into an outer one) is
+    /// still a prefix of the model and stays as it is.
+    fn extend_image(&mut self, to: Sizes) {
+        let mut image = self.image.take().unwrap_or_else(|| {
+            Box::new(Image {
+                solver: Solver::new(DifferenceLogic::new()),
+                sizes: Sizes::default(),
+                lists: WatchLists::default(),
+            })
+        });
+        let from = image.sizes;
+        if to.covers(&from) {
+            self.add_variables(&mut image.solver, from, to);
+            for clause in self.clauses_between(from, to) {
+                image.solver.add_clause(clause);
+            }
+            image.sizes = to;
+        }
+        image.solver.index_pairs();
+        self.image = Some(image);
+    }
+
+    /// Adds the integer and Boolean variables created after the stores had
+    /// sizes `from` and before they had `to`, and attaches the atoms created
+    /// in between.
+    fn add_variables(&self, solver: &mut Solver, from: Sizes, to: Sizes) {
+        for _ in from.ints..to.ints {
+            solver.theory_mut().new_var();
+        }
+        for _ in from.bools..to.bools {
+            solver.new_var();
+        }
+        let range = from.atoms..to.atoms;
+        for (atom, proxy) in self.atoms[range.clone()]
+            .iter()
+            .zip(&self.atom_proxy[range])
+        {
+            solver.attach_atom(*proxy, *atom);
         }
     }
 

@@ -45,19 +45,29 @@
 //! vector indexed by clause number. Watchers and reasons name that number.
 //! Adding a clause sorts, deduplicates and filters it in one scratch buffer
 //! the solver keeps and appends it to the arena, so building a solver
-//! allocates per clause nothing but arena space; [`Solver::reserve_vars`]
-//! and [`Solver::reserve_clauses`] size the per-variable arrays, the arena
-//! and every watch list before the first variable and clause go in.
+//! allocates per clause nothing but arena space.
 //! Clause-DB reduction deletes headers and slides the surviving literals
 //! down over the gaps, keeping clause order, so the renumbering it applies
 //! to watchers and reasons is the same as for a vector of owned clauses.
 //!
+//! An added clause is stored unwatched. Before a search, the watchers of
+//! every clause added since the last one are attached in clause order, into
+//! watch lists each allocated once at the size their clauses need (or
+//! refilled from a finished solver's lists). Nothing reads a watch list
+//! before the search, and a list holds at most one watcher per clause, so
+//! the lists come out as if each clause had been watched as it was added.
+//! Until then a solver holds no watcher, which keeps small the image of
+//! its clauses below an open scope that a [`Model`](crate::Model) keeps,
+//! and copies for each solve.
+//!
 //! Each variable's difference atom, if it is a proxy, sits in a dense table
 //! indexed by the variable, so theory propagation looks it up without
-//! hashing. The same-pair slices are one flat array, built before a solve by
-//! sorting the proxies on (pair, variable): no hashing there either, and the
-//! order of implications is a function of the model alone, so the search is
-//! the same for any thread count.
+//! hashing. The same-pair slices are one flat array kept sorted on (pair,
+//! variable): before a solve, the proxies attached since the last one are
+//! sorted and merged in. No hashing there either, and because (pair,
+//! variable) is a total order the index is the same however its proxies
+//! arrived, so the order of implications is a function of the model alone
+//! and the search is the same for any thread count.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -197,7 +207,7 @@ pub enum SatResult {
 
 /// One clause of the database: where its literals sit in the literal
 /// arena, and how it ranks for clause-DB reduction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Clause {
     /// Offset of the clause's first literal in `Solver::lits`.
     start: u32,
@@ -219,19 +229,47 @@ impl Clause {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Watcher {
     clause: usize,
     blocker: Lit,
 }
 
+/// The capacity of a watch list of `len` watchers that may gain `extra`
+/// more, rounded up as pushing would have grown it: propagation moves
+/// watchers between lists, and an exact fit would reallocate on the first
+/// move in.
+fn watch_capacity(len: usize, extra: u32) -> usize {
+    match len + extra as usize {
+        0 => 0,
+        n => n.next_power_of_two().max(4),
+    }
+}
+
+/// A copy of `items` with room for `extra` more, in one allocation.
+pub(crate) fn with_room<T: Clone>(items: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(items.len() + extra);
+    copy.extend_from_slice(items);
+    copy
+}
+
+/// Emptied watch lists of a finished solver, for a later build to refill:
+/// that build then allocates only the lists these do not cover or are too
+/// small for.
+#[derive(Debug, Default)]
+pub(crate) struct WatchLists(Vec<Vec<Watcher>>);
+
 /// The CDCL(T) solver. Built and driven by [`Model`](crate::Model).
 #[derive(Debug)]
 pub struct Solver {
     // Clause database: one header per clause, in creation order, over one
-    // literal arena (`lits`) that holds every clause back to back.
+    // literal arena (`lits`) that holds every clause back to back. The
+    // clauses from `watched` on were added since the last search and are
+    // not watched yet (`watch_clauses`); `watches` has a list per literal
+    // code only once they are.
     clauses: Vec<Clause>,
     lits: Vec<Lit>,
+    watched: usize,
     watches: Vec<Vec<Watcher>>,
     // `add_clause`'s sort-dedup-filter buffer, kept across calls.
     add_scratch: Vec<Lit>,
@@ -266,12 +304,12 @@ pub struct Solver {
     theory_qhead: usize,
     // Same-pair index: `pair_members[pair_start[p]..pair_start[p + 1]]` are
     // the proxies over integer pair `p`, in variable order, and
-    // `pair_of[v]` is proxy v's pair. Rebuilt by `solve_under` whenever
-    // `attach_atom` ran since the last build (`pairs_stale`).
+    // `pair_of[v]` is proxy v's pair. `pairs_pending` holds the proxies
+    // attached since the last `index_pairs`, which `solve_under` merges in.
     pair_of: Vec<u32>,
     pair_start: Vec<u32>,
     pair_members: Vec<BoolVar>,
-    pairs_stale: bool,
+    pairs_pending: Vec<BoolVar>,
     // For a variable whose reason is `THEORY_REASON`: the literal of the
     // edge that implied it.
     antecedent: Vec<Lit>,
@@ -287,6 +325,7 @@ impl Solver {
         Solver {
             clauses: Vec::new(),
             lits: Vec::new(),
+            watched: 0,
             watches: Vec::new(),
             add_scratch: Vec::new(),
             assigns: Vec::new(),
@@ -309,7 +348,7 @@ impl Solver {
             pair_of: Vec::new(),
             pair_start: Vec::new(),
             pair_members: Vec::new(),
-            pairs_stale: false,
+            pairs_pending: Vec::new(),
             antecedent: Vec::new(),
             found_empty_clause: false,
             learned_units: Vec::new(),
@@ -317,46 +356,50 @@ impl Solver {
         }
     }
 
-    /// Makes room for `additional` more variables in every per-variable
-    /// array, so that creating them reallocates nothing.
-    pub fn reserve_vars(&mut self, additional: usize) {
-        self.assigns.reserve(additional);
-        self.phase.reserve(additional);
-        self.level.reserve(additional);
-        self.reason.reserve(additional);
-        self.activity.reserve(additional);
-        self.seen.reserve(additional);
-        self.watches.reserve(2 * additional);
-        self.atoms.reserve(additional);
-        self.pair_of.reserve(additional);
-        self.antecedent.reserve(additional);
-        self.heap_pos.reserve(additional);
-        self.heap.reserve(additional);
-    }
-
-    /// Makes room for `clauses`, all over existing variables, before they
-    /// are added: the clause arena and headers grow once, and each watch
-    /// list once, to the number of clauses holding its literal's complement
-    /// (a clause is watched on two of its literals, so that bounds it).
-    pub fn reserve_clauses<'c>(&mut self, clauses: impl Iterator<Item = &'c [Lit]>) {
-        let mut occurrences = vec![0u32; self.watches.len()];
-        let (mut count, mut lits) = (0, 0);
-        for clause in clauses {
-            count += 1;
-            lits += clause.len();
-            for &l in clause {
-                occurrences[l.complement().code()] += 1;
-            }
-        }
-        self.clauses.reserve(count);
-        self.lits.reserve(lits);
-        // Rounded up as pushing would have grown it: propagation moves
-        // watchers between lists, and an exact fit would reallocate on the
-        // first move in.
-        for (list, &n) in self.watches.iter_mut().zip(&occurrences) {
-            if n > 0 {
-                list.reserve_exact((n as usize).next_power_of_two().max(4));
-            }
+    /// A copy of the solver with room for `vars` more Boolean and `ints`
+    /// more integer variables and for `clauses` more clauses of `lits`
+    /// literals in all: each array is allocated once, at that size, while
+    /// it is copied. Watch lists are not copied: the copy's clauses are
+    /// watched when it first searches, in `lists`.
+    pub(crate) fn clone_with_room(
+        &self,
+        vars: usize,
+        ints: usize,
+        clauses: usize,
+        lits: usize,
+        lists: WatchLists,
+    ) -> Solver {
+        Solver {
+            clauses: with_room(&self.clauses, clauses),
+            lits: with_room(&self.lits, lits),
+            watched: 0,
+            watches: lists.0,
+            add_scratch: Vec::new(),
+            assigns: with_room(&self.assigns, vars),
+            phase: with_room(&self.phase, vars),
+            level: with_room(&self.level, vars),
+            reason: with_room(&self.reason, vars),
+            trail: with_room(&self.trail, vars),
+            trail_lim: self.trail_lim.clone(),
+            qhead: self.qhead,
+            activity: with_room(&self.activity, vars),
+            var_inc: self.var_inc,
+            heap: with_room(&self.heap, vars),
+            heap_pos: with_room(&self.heap_pos, vars),
+            cla_inc: self.cla_inc,
+            seen: with_room(&self.seen, vars),
+            seen_epoch: self.seen_epoch,
+            theory: self.theory.clone_with_room(ints),
+            atoms: with_room(&self.atoms, vars),
+            theory_qhead: self.theory_qhead,
+            pair_of: with_room(&self.pair_of, vars),
+            pair_start: self.pair_start.clone(),
+            pair_members: with_room(&self.pair_members, self.pairs_pending.len() + vars),
+            pairs_pending: with_room(&self.pairs_pending, vars),
+            antecedent: with_room(&self.antecedent, vars),
+            found_empty_clause: self.found_empty_clause,
+            learned_units: self.learned_units.clone(),
+            stats: self.stats.clone(),
         }
     }
 
@@ -369,8 +412,6 @@ impl Solver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.seen.push(0);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
         self.atoms.push(None);
         self.pair_of.push(0);
         self.antecedent.push(var.lit());
@@ -381,41 +422,107 @@ impl Solver {
 
     /// Attaches a difference atom to a Boolean proxy variable. A variable
     /// proxies at most one atom; attaching a second replaces the first.
-    /// Atoms may be attached between solves: the next solve re-indexes them.
+    /// Atoms may be attached between solves: the next solve indexes them.
     pub fn attach_atom(&mut self, var: BoolVar, atom: DiffAtom) {
-        self.atoms[var.index()] = Some(atom);
-        self.pairs_stale = true;
+        if self.atoms[var.index()].replace(atom).is_none() {
+            self.pairs_pending.push(var);
+        } else {
+            // The replaced atom may sit on another pair: index every proxy
+            // anew.
+            self.pair_members.clear();
+            self.pairs_pending.clear();
+            self.pairs_pending.extend(
+                (0..self.atoms.len() as u32)
+                    .map(BoolVar)
+                    .filter(|v| self.atoms[v.index()].is_some()),
+            );
+        }
     }
 
-    /// Rebuilds the same-pair index from the attached atoms: sort the
-    /// proxies on (unordered pair, variable) and cut the run at each new
-    /// pair.
-    fn rebuild_pairs(&mut self) {
+    /// Brings the same-pair index up to date: sorts the proxies attached
+    /// since the last call on (unordered pair, variable), merges them into
+    /// the index, which is kept in that order, and cuts the run at each new
+    /// pair. The key is a total order, so the merged index is the one a
+    /// sort of every proxy gives; the first call merges into an empty index.
+    pub(crate) fn index_pairs(&mut self) {
+        if self.pairs_pending.is_empty() {
+            return;
+        }
         let atoms = &self.atoms;
-        let pair = |var: BoolVar| {
+        let key = |var: BoolVar| {
             let a = atoms[var.index()].expect("only proxies are indexed");
-            (a.x.min(a.y), a.x.max(a.y))
+            ((a.x.min(a.y), a.x.max(a.y)), var)
         };
-        self.pair_members.clear();
-        self.pair_members.extend(
-            (0..atoms.len() as u32)
-                .map(BoolVar)
-                .filter(|v| atoms[v.index()].is_some()),
-        );
-        // In place: the index allocates nothing beyond its own arrays.
-        self.pair_members
-            .sort_unstable_by_key(|&var| (pair(var), var));
+        let pending = &mut self.pairs_pending;
+        pending.sort_unstable_by_key(|&var| key(var));
+        // Merge from the back into the slots the newcomers open at the end;
+        // the members below the smallest newcomer stay where they are.
+        let members = &mut self.pair_members;
+        let mut old = members.len();
+        members.resize(old + pending.len(), BoolVar(0));
+        for slot in (0..members.len()).rev() {
+            let Some(&new) = pending.last() else {
+                break;
+            };
+            if old > 0 && key(members[old - 1]) > key(new) {
+                members[slot] = members[old - 1];
+                old -= 1;
+            } else {
+                members[slot] = new;
+                pending.pop();
+            }
+        }
         self.pair_start.clear();
         let mut previous = None;
         for (i, &var) in self.pair_members.iter().enumerate() {
-            if previous != Some(pair(var)) {
-                previous = Some(pair(var));
+            let (pair, _) = key(var);
+            if previous != Some(pair) {
+                previous = Some(pair);
                 self.pair_start.push(i as u32);
             }
             self.pair_of[var.index()] = (self.pair_start.len() - 1) as u32;
         }
         self.pair_start.push(self.pair_members.len() as u32);
-        self.pairs_stale = false;
+    }
+
+    /// Asserts that `other` holds the same state as `self`, field by field:
+    /// assignment and trail, decision order, clause database and watch
+    /// lists, atoms and the same-pair index, and the theory's variables.
+    /// It checks that a solver a [`Model`](crate::Model) extended from its
+    /// kept image is the solver a build from scratch gives.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_same_state(&self, other: &Solver) {
+        let bits = |activity: &[f64]| activity.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        assert_eq!(self.assigns, other.assigns, "assigns");
+        assert_eq!(self.phase, other.phase, "phase");
+        assert_eq!(self.level, other.level, "level");
+        assert_eq!(self.reason, other.reason, "reason");
+        assert_eq!(self.trail, other.trail, "trail");
+        assert_eq!(self.trail_lim, other.trail_lim, "trail_lim");
+        assert_eq!(self.qhead, other.qhead, "qhead");
+        assert_eq!(bits(&self.activity), bits(&other.activity), "activity");
+        assert_eq!(self.var_inc.to_bits(), other.var_inc.to_bits(), "var_inc");
+        assert_eq!(self.heap, other.heap, "heap");
+        assert_eq!(self.heap_pos, other.heap_pos, "heap_pos");
+        assert_eq!(self.watched, other.watched, "watched");
+        assert_eq!(self.watches, other.watches, "watches");
+        assert_eq!(self.clauses, other.clauses, "clause headers");
+        assert_eq!(self.lits, other.lits, "clause arena");
+        assert_eq!(self.atoms, other.atoms, "atoms");
+        assert_eq!(self.pair_of, other.pair_of, "pair_of");
+        assert_eq!(self.pair_start, other.pair_start, "pair_start");
+        assert_eq!(self.pair_members, other.pair_members, "pair_members");
+        assert_eq!(self.pairs_pending, other.pairs_pending, "pairs_pending");
+        assert_eq!(
+            self.theory.num_vars(),
+            other.theory.num_vars(),
+            "theory variables"
+        );
+        assert_eq!(
+            self.found_empty_clause, other.found_empty_clause,
+            "found_empty_clause"
+        );
+        assert_eq!(self.stats, other.stats, "stats");
     }
 
     /// Mutable access to the theory (used by the model builder to create
@@ -466,10 +573,15 @@ impl Solver {
     }
 
     /// Seeds the saved phases from a previous run (extra entries ignored,
-    /// missing entries keep the default).
+    /// missing entries keep the default). An assigned variable keeps its
+    /// value as its phase, as `enqueue` set it, so a level-0 unit leaves
+    /// the same phase whether its clause was added before the seed or
+    /// after.
     pub fn seed_phases(&mut self, phases: &[bool]) {
-        for (slot, &p) in self.phase.iter_mut().zip(phases.iter()) {
-            *slot = p;
+        for ((slot, &value), &p) in self.phase.iter_mut().zip(&self.assigns).zip(phases) {
+            if value == Value::Unassigned {
+                *slot = p;
+            }
         }
     }
 
@@ -506,7 +618,8 @@ impl Solver {
     /// Adds a clause. Must be called before `solve`; clauses added at
     /// decision level 0 only. The literals are sorted, deduplicated and
     /// filtered against the level-0 assignment in one buffer the solver
-    /// keeps, so adding a clause allocates nothing but its arena space.
+    /// keeps, so adding a clause allocates nothing but its arena space. The
+    /// clause is watched when the next search starts.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         debug_assert!(self.trail_lim.is_empty(), "clauses are added at level 0");
         let mut scratch = std::mem::take(&mut self.add_scratch);
@@ -553,10 +666,52 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.store_clause(lits, false, 0.0);
-                self.watch_clause(idx, lits[0], lits[1]);
+                self.store_clause(lits, false, 0.0);
             }
         }
+    }
+
+    /// Empties the watch lists and hands them over for a later build (the
+    /// solver is spent: it has no watch list left).
+    pub(crate) fn take_watch_lists(&mut self) -> WatchLists {
+        let mut lists = std::mem::take(&mut self.watches);
+        for list in &mut lists {
+            list.clear();
+        }
+        WatchLists(lists)
+    }
+
+    /// Watches every clause added since the last search on its first two
+    /// literals, in clause order, after creating the watch lists of new
+    /// variables and giving each list, once, room for every stored clause
+    /// that holds its literal's complement (a clause can come to be watched
+    /// on any of its literals).
+    pub(crate) fn watch_clauses(&mut self) {
+        let first = self.watched;
+        if first == self.clauses.len() && self.watches.len() == 2 * self.num_vars() {
+            return;
+        }
+        self.watches.resize_with(2 * self.num_vars(), Vec::new);
+        // The clauses from `first` on hold the end of the arena.
+        let mut occurrences = vec![0u32; self.watches.len()];
+        let start = self
+            .clauses
+            .get(first)
+            .map_or(self.lits.len(), |c| c.start as usize);
+        for &l in &self.lits[start..] {
+            occurrences[l.complement().code()] += 1;
+        }
+        for (list, &extra) in self.watches.iter_mut().zip(&occurrences) {
+            let capacity = watch_capacity(list.len(), extra);
+            if capacity > list.capacity() {
+                list.reserve_exact(capacity - list.len());
+            }
+        }
+        for idx in first..self.clauses.len() {
+            let start = self.clauses[idx].start as usize;
+            self.watch_clause(idx, self.lits[start], self.lits[start + 1]);
+        }
+        self.watched = self.clauses.len();
     }
 
     /// Appends a clause to the database, unwatched. Returns its index.
@@ -1150,7 +1305,6 @@ impl Solver {
     pub fn solve_under(&mut self, assumptions: &[Lit], limits: Limits) -> SatResult {
         let mut telemetry = SolveTelemetry::begin();
         let _solve_span = tsn_telemetry::span!("smt.solve");
-        let start = telemetry.start;
         // Undo any leftover search state from a previous call (level-0
         // assignments are permanent and stay). Statistics are cumulative
         // across calls — callers wanting per-solve figures snapshot and
@@ -1161,9 +1315,25 @@ impl Solver {
         if self.found_empty_clause {
             return SatResult::Unsat;
         }
-        if self.pairs_stale {
-            self.rebuild_pairs();
-        }
+        self.watch_clauses();
+        self.index_pairs();
+        let result = self.search(assumptions, limits, &mut telemetry);
+        // The search watches each learned clause as it stores it and never
+        // watches a theory lemma: none of its clauses waits for
+        // `watch_clauses`.
+        self.watched = self.clauses.len();
+        result
+    }
+
+    /// The CDCL(T) main loop of [`solve_under`](Solver::solve_under), from
+    /// level 0 with every clause watched and the same-pair index built.
+    fn search(
+        &mut self,
+        assumptions: &[Lit],
+        limits: Limits,
+        telemetry: &mut SolveTelemetry,
+    ) -> SatResult {
+        let start = telemetry.start;
         let mut call_conflicts = 0u64;
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 32 * Self::luby(restart_count);

@@ -21,6 +21,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::sat::with_room;
 use crate::types::Lit;
 
 /// An asserted difference constraint `x - y <= k`, i.e. a graph edge
@@ -97,6 +98,26 @@ impl DifferenceLogic {
         self.scratch_stamp.push(0);
         self.settled_stamp.push(0);
         idx
+    }
+
+    /// A copy of the theory with room for `extra` more variables in every
+    /// per-variable array, so that creating them reallocates nothing.
+    pub(crate) fn clone_with_room(&self, extra: usize) -> Self {
+        DifferenceLogic {
+            num_vars: self.num_vars,
+            potential: with_room(&self.potential, extra),
+            out_edges: with_room(&self.out_edges, extra),
+            edges: self.edges.clone(),
+            assert_heights: self.assert_heights.clone(),
+            scratch_gamma: with_room(&self.scratch_gamma, extra),
+            scratch_parent: with_room(&self.scratch_parent, extra),
+            scratch_stamp: with_room(&self.scratch_stamp, extra),
+            settled_stamp: with_room(&self.settled_stamp, extra),
+            scratch_epoch: self.scratch_epoch,
+            heap: self.heap.clone(),
+            touched: self.touched.clone(),
+            scratch_reuses: self.scratch_reuses,
+        }
     }
 
     /// Number of repair invocations that reused the persistent scratch

@@ -3,8 +3,7 @@
 //!
 //! This is a malformed-input row like those of `wire_malformed.rs`, in a
 //! binary of its own: the daemon logs every refusal to the process-wide
-//! structured log, and `health` replies carry its tail, which
-//! `wire_malformed.rs` bounds in bytes while its other tests run.
+//! structured log, and `health` replies carry its tail.
 
 use tsn_control::PiecewiseLinearBound;
 use tsn_net::json::Json;

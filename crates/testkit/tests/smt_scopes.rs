@@ -16,9 +16,16 @@
 //! The same questions are asked of instances whose atoms crowd onto one or
 //! two integer pairs, where most of the solver's work is theory
 //! implication rather than decision.
+//!
+//! Last, scripted scope shapes drive the model's solver image (the solver
+//! it keeps of the clauses below an open scope) through being made,
+//! extended, kept past its mark and dropped, with every verdict checked by
+//! brute force; debug builds also compare each solver started from the
+//! image with a build from scratch, field by field.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use testkit::diffsolver::replay_into;
 use testkit::{
     brute_force_sat, build_model, crowded_instance, random_instance, solve_with_smt, DiffInstance,
 };
@@ -378,4 +385,129 @@ fn crowded_pairs_keep_their_verdicts_under_theory_propagation() {
     );
     assert!(implications > 0, "the theory implied nothing");
     assert!(deleted > 0, "no reduction ran under the theory reasons");
+}
+
+/// One random instance replayed into a shared model, with the model
+/// literal of each of its Boolean indices.
+struct Layer {
+    inst: DiffInstance,
+    lits: Vec<Lit>,
+}
+
+/// Replays a fresh random instance into `model` as one more layer.
+fn add_layer(model: &mut Model, rng: &mut StdRng, layers: &mut Vec<Layer>) {
+    let inst = random_instance(rng);
+    let (lits, _) = replay_into(model, &inst);
+    layers.push(Layer { inst, lits });
+}
+
+/// Solves the model plainly and under one random assumption, and checks
+/// both verdicts against brute force: the layers share no variable, so the
+/// model is satisfiable exactly when every layer is. Returns the plain
+/// verdict.
+fn check_layers(model: &mut Model, layers: &[Layer], rng: &mut StdRng, what: &str) -> bool {
+    let expected = layers.iter().all(|layer| brute_force_sat(&layer.inst));
+    let outcome = model.solve();
+    assert_eq!(outcome.is_sat(), expected, "{what}");
+    if let Some(assignment) = outcome.assignment() {
+        model
+            .verify(assignment)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
+    let which = rng.gen_range(0..layers.len());
+    let index = rng.gen_range(0..layers[which].lits.len());
+    let positive = rng.gen_bool(0.5);
+    let lit = layers[which].lits[index];
+    let assumed = if positive { lit } else { !lit };
+    let expected_under = layers.iter().enumerate().all(|(i, layer)| {
+        let mut inst = layer.inst.clone();
+        if i == which {
+            inst.units.push((index, positive));
+        }
+        brute_force_sat(&inst)
+    });
+    let outcome = model.solve_with_assumptions(&[assumed], SolveOptions::default());
+    assert_eq!(
+        outcome.is_sat(),
+        expected_under,
+        "{what}, under an assumption"
+    );
+    if let Some(assignment) = outcome.assignment() {
+        model
+            .verify(assignment)
+            .unwrap_or_else(|e| panic!("{what}, under an assumption: {e}"));
+    }
+    expected
+}
+
+#[test]
+fn the_solver_image_is_made_extended_and_dropped_with_the_scopes() {
+    // Each round runs one script of scope shapes over random layers, on a
+    // cold model in even rounds and a warm one in odd rounds (the warm
+    // seed goes onto a copy of the image, after its level-0 units):
+    //
+    // * a solve with no scope open, which keeps no image;
+    // * a probe, which makes the image at its scope's mark, then a commit
+    //   or a pop at random;
+    // * a second probe, which extends a committed image to the new mark;
+    // * a solve after the commit with no scope open, from the image;
+    // * a unit added with no scope open, then nested scopes, which extend
+    //   the image over the unit to the innermost mark;
+    // * popping the inner scope (the image stays, past the outer mark),
+    //   then the outer one, which drops it;
+    // * a last solve with no scope open.
+    let mut rng = StdRng::seed_from_u64(0x1A6E_5C0B);
+    // Plain verdicts: [unsat, sat].
+    let mut verdicts = [0usize; 2];
+    for round in 0..60 {
+        let mut model = Model::new();
+        model.set_warm_start(round % 2 == 1);
+        let mut layers = Vec::new();
+        let mut check = |model: &mut Model, layers: &[Layer], rng: &mut StdRng, what: &str| {
+            let what = format!("round {round}: {what}");
+            verdicts[usize::from(check_layers(model, layers, rng, &what))] += 1;
+        };
+        add_layer(&mut model, &mut rng, &mut layers);
+        check(&mut model, &layers, &mut rng, "no scope");
+
+        model.push();
+        add_layer(&mut model, &mut rng, &mut layers);
+        check(&mut model, &layers, &mut rng, "first probe");
+        if round % 4 < 2 {
+            model.commit();
+        } else {
+            model.pop();
+            layers.pop();
+        }
+        model.push();
+        add_layer(&mut model, &mut rng, &mut layers);
+        check(&mut model, &layers, &mut rng, "second probe");
+        model.commit();
+        check(&mut model, &layers, &mut rng, "committed, no scope");
+
+        // A unit on a variable the last solve assigned, below the next
+        // scope's mark: the image holds it, and a warm seed carries the
+        // solve's phase for it, which may disagree.
+        let which = rng.gen_range(0..layers.len());
+        let index = rng.gen_range(0..layers[which].lits.len());
+        let positive = rng.gen_bool(0.5);
+        let lit = layers[which].lits[index];
+        model.assert_lit(if positive { lit } else { !lit });
+        layers[which].inst.units.push((index, positive));
+        let outer = layers.len();
+        model.push();
+        add_layer(&mut model, &mut rng, &mut layers);
+        model.push();
+        add_layer(&mut model, &mut rng, &mut layers);
+        check(&mut model, &layers, &mut rng, "nested scopes");
+        model.pop();
+        layers.pop();
+        check(&mut model, &layers, &mut rng, "inner scope popped");
+        model.pop();
+        layers.truncate(outer);
+        check(&mut model, &layers, &mut rng, "popped below the image");
+        assert_eq!(model.scope_depth(), 0);
+    }
+    let [unsat, sat] = verdicts;
+    assert!(sat > 50 && unsat > 50, "{sat} sat / {unsat} unsat checks");
 }
