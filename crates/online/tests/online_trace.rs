@@ -417,7 +417,7 @@ fn the_benchmark_trace_takes_a_pinned_search() {
     let snapshot = fnv1a64(0xcbf2_9ce4_8422_2325, line.as_bytes());
     assert_eq!(
         (decisions, conflicts),
-        (16_932, 579),
+        (11_819, 580),
         "the online search moved"
     );
     assert_eq!(
@@ -426,7 +426,7 @@ fn the_benchmark_trace_takes_a_pinned_search() {
     );
     assert_eq!(
         (line.len(), snapshot),
-        (190_578, 0x4279_ce91_2e39_5b37),
+        (190_780, 0x2121_6e83_6ad7_1717),
         "the final snapshot moved"
     );
 }

@@ -56,6 +56,10 @@ pub struct SolverStats {
     /// carried through [`SolverStats::delta_since`] as a maximum, not a
     /// difference.
     pub peak_live_clauses: u64,
+    /// Conflicts whose backjump would have undone more levels than the
+    /// chronological-backtracking threshold, and which backtracked one
+    /// level instead.
+    pub chrono_backtracks: u64,
     /// Wall-clock time of the solve call.
     pub solve_time: std::time::Duration,
 }
@@ -94,6 +98,9 @@ impl SolverStats {
                 .deleted_clauses
                 .saturating_sub(baseline.deleted_clauses),
             peak_live_clauses: self.peak_live_clauses.max(baseline.peak_live_clauses),
+            chrono_backtracks: self
+                .chrono_backtracks
+                .saturating_sub(baseline.chrono_backtracks),
             solve_time: self.solve_time.saturating_sub(baseline.solve_time),
         }
     }
@@ -105,7 +112,7 @@ impl fmt::Display for SolverStats {
             f,
             "{} decisions, {} conflicts ({} theory), {} propagations, {} theory checks \
              ({} scratch reuses, {} implications), {} learned ({} deleted, {} peak live), \
-             {} restarts in {:?}",
+             {} restarts, {} chrono backtracks in {:?}",
             self.decisions,
             self.conflicts,
             self.theory_conflicts,
@@ -117,6 +124,7 @@ impl fmt::Display for SolverStats {
             self.deleted_clauses,
             self.peak_live_clauses,
             self.restarts,
+            self.chrono_backtracks,
             self.solve_time
         )
     }
@@ -150,6 +158,7 @@ mod tests {
             theory_scratch_reuses: 7,
             deleted_clauses: 6,
             peak_live_clauses: 9,
+            chrono_backtracks: 11,
             solve_time: std::time::Duration::from_millis(5),
         };
         let text = s.to_string();
@@ -160,6 +169,7 @@ mod tests {
         assert!(text.contains("8 implications"));
         assert!(text.contains("6 deleted"));
         assert!(text.contains("9 peak live"));
+        assert!(text.contains("11 chrono backtracks"));
     }
 
     #[test]
@@ -173,6 +183,7 @@ mod tests {
             restarts: 1,
             deleted_clauses: 2,
             peak_live_clauses: 50,
+            chrono_backtracks: 6,
             solve_time: std::time::Duration::from_millis(3),
             ..SolverStats::default()
         };
@@ -185,6 +196,7 @@ mod tests {
             restarts: 1,
             deleted_clauses: 2,
             peak_live_clauses: 80,
+            chrono_backtracks: 13,
             solve_time: std::time::Duration::from_millis(7),
             ..SolverStats::default()
         };
@@ -196,6 +208,7 @@ mod tests {
         assert_eq!(delta.theory_implications, 12);
         assert_eq!(delta.restarts, 0);
         assert_eq!(delta.deleted_clauses, 0);
+        assert_eq!(delta.chrono_backtracks, 7);
         // The peak is a high-water mark, never a difference.
         assert_eq!(delta.peak_live_clauses, 80);
         assert_eq!(delta.solve_time, std::time::Duration::from_millis(4));

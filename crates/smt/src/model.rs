@@ -26,6 +26,10 @@ pub struct SolveOptions {
     /// Learned-clause count that triggers activity-driven clause-DB
     /// reduction (`None` = the solver's default threshold).
     pub reduce_threshold: Option<usize>,
+    /// Backjump length, in decision levels, above which a conflict
+    /// backtracks one level instead (`None` = the solver's default). A test
+    /// lever: `Some(0)` makes every multi-level backjump chronological.
+    pub chrono_threshold: Option<u32>,
 }
 
 /// The outcome of a [`Model::solve`] call.
@@ -747,6 +751,7 @@ impl Model {
                 max_conflicts: options.max_conflicts,
                 timeout: options.timeout,
                 reduce_threshold: options.reduce_threshold,
+                chrono_threshold: options.chrono_threshold,
             },
         );
         self.last_stats = solver.stats().delta_since(&baseline);

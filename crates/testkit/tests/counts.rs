@@ -44,7 +44,7 @@ fn paper_automotive_counts_are_pinned() {
         .expect("Table I solves");
     assert_eq!(
         (totals(&report.stages), report.stable_applications),
-        ([471_109, 2_203, 1_098_924, 628_521, 44], 20),
+        ([71_921, 3_177, 152_408, 93_155, 56], 20),
         "([decisions, conflicts, propagations, theory_checks, restarts], \
          stable applications) moved on paper_automotive"
     );
@@ -74,7 +74,7 @@ fn scale_smt_counts_are_pinned() {
             totals(&report.report.stages),
             report.report.stable_applications
         ),
-        ([172_458, 922, 355_802, 174_285, 17], 100),
+        ([30_165, 922, 68_524, 34_199, 17], 100),
         "([decisions, conflicts, propagations, theory_checks, restarts], \
          stable applications) moved on scale_smt"
     );

@@ -44,7 +44,7 @@ fn search_counts_on_light_grid_rows_are_pinned() {
     }
     assert_eq!(
         totals,
-        [10_899, 288, 33_749, 13_945, 3],
+        [8_587, 288, 26_786, 11_911, 3],
         "[decisions, conflicts, propagations, theory_checks, restarts] moved: \
          the solver no longer makes the same choices"
     );
@@ -108,7 +108,7 @@ fn search_counts_under_clause_db_reduction_are_pinned() {
     assert!(totals[5] > 0, "no learned clause was deleted: {totals:?}");
     assert_eq!(
         totals,
-        [81_512, 571, 135_396, 74_576, 4, 68, 4_201],
+        [79_191, 571, 131_885, 72_765, 4, 68, 4_201],
         "[decisions, conflicts, propagations, theory_checks, restarts, \
          deleted_clauses, peak_live_clauses] moved: the solver no longer \
          makes the same choices under clause-DB reduction"

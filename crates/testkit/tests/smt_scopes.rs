@@ -17,6 +17,9 @@
 //! two integer pairs, where most of the solver's work is theory
 //! implication rather than decision.
 //!
+//! Every verdict is asked again with chronological backtracking forced on
+//! every multi-level backjump.
+//!
 //! Last, scripted scope shapes drive the model's solver image (the solver
 //! it keeps of the clauses below an open scope) through being made,
 //! extended, kept past its mark and dropped, with every verdict checked by
@@ -255,6 +258,105 @@ fn forced_reduction_deletes_clauses_without_changing_verdicts() {
     assert!(m
         .solve_with_assumptions(&[!gate], SolveOptions::default())
         .is_sat());
+}
+
+#[test]
+fn forced_chronological_backtracking_preserves_the_satisfiable_set() {
+    // The rows above, with every multi-level backjump made chronological
+    // (`chrono_threshold: Some(0)`): the solver then backtracks one level
+    // and asserts the learned literal there, so small instances reach the
+    // branch the default threshold keeps for backjumps of over a hundred
+    // levels. Verdicts must be brute force's and the default options',
+    // plainly, under assumptions and across push / pop; every satisfiable
+    // model is verified.
+    let chrono = SolveOptions {
+        chrono_threshold: Some(0),
+        ..SolveOptions::default()
+    };
+    let mut rng = StdRng::seed_from_u64(0xC4_0A0B);
+    let mut backtracks = 0u64;
+    // Plain verdicts found by search, where the decision levels are.
+    for round in 0..2000 {
+        let inst = if round % 2 == 0 {
+            random_instance(&mut rng)
+        } else {
+            crowded_instance(&mut rng)
+        };
+        let mut model = build_model(&inst).model;
+        let outcome = model.solve_with(chrono);
+        assert_eq!(
+            outcome.is_sat(),
+            brute_force_sat(&inst),
+            "round {round}: {inst:?}"
+        );
+        if let Some(assignment) = outcome.assignment() {
+            model
+                .verify(assignment)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
+        backtracks += model.last_stats().chrono_backtracks;
+    }
+    for round in 0..25 {
+        let inst = if round % 2 == 0 {
+            random_instance(&mut rng)
+        } else {
+            crowded_instance(&mut rng)
+        };
+        let reference = reference_set(&inst);
+        let built = build_model(&inst);
+        let mut model = built.model;
+        let lits = built.lits;
+        let gate = gated_pigeonhole(&mut model);
+        let open = [!gate];
+        assert_eq!(
+            probe_set(&mut model, &lits, &open, chrono).0,
+            reference,
+            "round {round}: disagrees with brute force: {inst:?}"
+        );
+        assert!(
+            model.solve_with_assumptions(&[gate], chrono).is_unsat(),
+            "round {round}: the gated pigeonhole is unsatisfiable"
+        );
+        backtracks += model.last_stats().chrono_backtracks;
+
+        // A scope of random clauses: the same set as the default options
+        // inside it, and the reference again once it is popped.
+        model.push();
+        for _ in 0..rng.gen_range(1..4) {
+            let clause: Vec<Lit> = (0..rng.gen_range(1..3))
+                .map(|_| {
+                    let l = lits[rng.gen_range(0..lits.len())];
+                    if rng.gen_bool(0.5) {
+                        l
+                    } else {
+                        !l
+                    }
+                })
+                .collect();
+            model.add_clause(clause);
+        }
+        let inside = probe_set(&mut model, &lits, &open, chrono).0;
+        assert_eq!(
+            inside,
+            probe_set(&mut model, &lits, &open, SolveOptions::default()).0,
+            "round {round}: the threshold changed a verdict inside a scope: {inst:?}"
+        );
+        for (mask, (&now, &before)) in inside.iter().zip(reference.iter()).enumerate() {
+            assert!(
+                !now || before,
+                "round {round}: assignment {mask:#b} became satisfiable by ADDING constraints"
+            );
+        }
+        assert!(model.solve_with_assumptions(&[gate], chrono).is_unsat());
+        backtracks += model.last_stats().chrono_backtracks;
+        model.pop();
+        assert_eq!(
+            probe_set(&mut model, &lits, &open, chrono).0,
+            reference,
+            "round {round}: pop did not restore the set: {inst:?}"
+        );
+    }
+    assert!(backtracks > 0, "no backtrack was chronological");
 }
 
 #[test]

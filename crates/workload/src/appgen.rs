@@ -9,7 +9,7 @@
 //! parameters are drawn from the ranges observed in the paper's Table I.
 
 use rand::Rng;
-use tsn_control::{CurveOptions, PiecewiseLinearBound, Plant, StabilityCurve};
+use tsn_control::{ControlError, CurveOptions, PiecewiseLinearBound, Plant, StabilityCurve};
 use tsn_net::Time;
 
 /// The benchmark plant a control application regulates.
@@ -78,25 +78,33 @@ impl AppSpec {
     /// the plant's jitter-margin stability curve (slower, but fully grounded
     /// in the control analysis).
     ///
-    /// Falls back to a synthetic bound if the curve cannot be computed for
-    /// the drawn plant/period combination (e.g. an inverted pendulum sampled
-    /// too slowly).
-    pub fn random_analyzed<R: Rng + ?Sized>(index: usize, period: Time, rng: &mut R) -> Self {
+    /// Returns the analysis error if the curve cannot be computed for the
+    /// drawn plant/period combination (e.g. a DC servo sampled at 2 ms,
+    /// whose delay range exceeds the augmentation horizon).
+    pub fn random_analyzed<R: Rng + ?Sized>(
+        index: usize,
+        period: Time,
+        rng: &mut R,
+    ) -> Result<Self, ControlError> {
         let plant = PlantKind::ALL[rng.gen_range(0..PlantKind::ALL.len())];
-        let stability = StabilityCurve::compute(
+        Self::analyzed(index, plant, period)
+    }
+
+    /// The application of [`random_analyzed`](AppSpec::random_analyzed)
+    /// once its plant is drawn.
+    fn analyzed(index: usize, plant: PlantKind, period: Time) -> Result<Self, ControlError> {
+        let curve = StabilityCurve::compute(
             &plant.plant(),
             period.as_secs_f64(),
             CurveOptions::default(),
-        )
-        .and_then(|curve| PiecewiseLinearBound::from_curve(&curve, 3))
-        .unwrap_or_else(|_| synthetic_bound(period, rng));
-        AppSpec {
+        )?;
+        Ok(AppSpec {
             name: format!("app{index}-{plant:?}"),
             plant,
             period,
             frame_bytes: 1500,
-            stability,
-        }
+            stability: PiecewiseLinearBound::from_curve(&curve, 3)?,
+        })
     }
 }
 
@@ -150,10 +158,24 @@ mod tests {
     #[test]
     fn analyzed_app_produces_usable_bound() {
         let mut rng = StdRng::seed_from_u64(3);
-        let spec = AppSpec::random_analyzed(0, Time::from_millis(10), &mut rng);
+        let spec = AppSpec::random_analyzed(0, Time::from_millis(10), &mut rng)
+            .expect("every plant has a curve at 10 ms");
         // Whatever the plant, the bound must accept the zero-delay point and
         // have a positive latency range.
         assert!(spec.stability.is_stable(0.0, 0.0));
         assert!(spec.stability.max_latency() > 0.0);
+    }
+
+    #[test]
+    fn an_analysis_error_is_returned_not_replaced() {
+        // The DC servo's curve at 2 ms cannot be computed. The error comes
+        // back instead of a synthetic bound standing in for the plant's.
+        let err = AppSpec::analyzed(0, PlantKind::DcServo, Time::from_millis(2))
+            .expect_err("the DC servo has no curve at 2 ms");
+        assert!(
+            err.to_string()
+                .contains("delay exceeds the augmentation horizon"),
+            "{err}"
+        );
     }
 }
