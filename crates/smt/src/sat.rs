@@ -123,9 +123,9 @@ pub struct Limits {
     /// values to make reduction fire on small instances.
     pub reduce_threshold: Option<usize>,
     /// Backjump length, in decision levels, above which a conflict
-    /// backtracks one level instead (`None` = the built-in default). Tests force
-    /// `Some(0)` to make every multi-level backjump chronological on small
-    /// instances.
+    /// backtracks one level instead (`None` = the built-in default). Tests
+    /// force `Some(0)` to make every multi-level backjump chronological on
+    /// small instances.
     pub chrono_threshold: Option<u32>,
 }
 
@@ -133,19 +133,20 @@ pub struct Limits {
 /// chronologically: to the conflict level − 1 instead of the learned
 /// clause's second-highest level (see "Backtracking" in the module docs).
 /// 100 is the default of Nadel & Ryvchin ("Chronological Backtracking",
-/// SAT 2018), and the calibration below kept it. Exact counts
-/// (decisions / conflicts) and the median `wall_s` of three `tsn_benchmark`
-/// runs (`--seconds 10`, seed 7) on a shared 2-core x86-64 box, where the
-/// unchanged search (no chronological backtrack) read 0.19–0.41 s on
-/// `paper_automotive`:
+/// SAT 2018), and the calibration below kept it. Exact decisions /
+/// conflicts of the three solver-bound benchmark instances, and each one's
+/// median `wall_s` in ms over three `tsn_benchmark` runs (`--seconds 10`,
+/// seed 7) on a shared 2-core x86-64 box; without chronological
+/// backtracking `paper_automotive` read a median of 297 ms over ten runs
+/// there:
 ///
-/// | T | `paper_automotive` | `scale_smt` | `online_churn` trace | walls (ms) |
-/// |---|---|---|---|---|
-/// | 0 | 59,929 / 7,184 | 20,726 / 1,058 | 8,099 / 1,145 | 78.9, 25.9, 27.8 |
-/// | 25 | 60,226 / 5,880 | 23,441 / 966 | 10,372 / 719 | 76.9, 29.2, 36.6 |
-/// | 100 | 71,921 / 3,177 | 30,165 / 922 | 11,819 / 580 | 73.9, 26.9, 31.6 |
-/// | 400 | 325,608 / 2,710 | 46,650 / 922 | 16,932 / 579 | 219.8, 32.9, 33.7 |
-/// | none | 471,109 / 2,203 | 172,458 / 922 | 16,932 / 579 | |
+/// | T | `paper_automotive` | `scale_smt` | `online_churn` |
+/// |---|---|---|---|
+/// | 0 | 59,929 / 7,184, 78.9 | 20,726 / 1,058, 25.9 | 8,099 / 1,145, 27.8 |
+/// | 25 | 60,226 / 5,880, 76.9 | 23,441 / 966, 29.2 | 10,372 / 719, 36.6 |
+/// | 100 | 71,921 / 3,177, 73.9 | 30,165 / 922, 26.9 | 11,819 / 580, 31.6 |
+/// | 400 | 325,608 / 2,710, 219.8 | 46,650 / 922, 32.9 | 16,932 / 579, 33.7 |
+/// | none | 471,109 / 2,203 | 172,458 / 922 | 16,932 / 579 |
 ///
 /// From 0 to 100 the walls are within noise of each other; 100 spends the
 /// fewest conflicts of the three and keeps the online search closest to the
