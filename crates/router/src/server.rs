@@ -27,7 +27,7 @@ use tsn_net::json::Json;
 use tsn_net::poll::{Completions, ConnId, LineHandler, LineOutcome, PlaneConfig};
 use tsn_service::dispatch::{Dispatcher, Job};
 use tsn_service::fnv1a64;
-use tsn_service::protocol::{envelope_ids, Response};
+use tsn_service::protocol::{content_key, envelope_ids, Response};
 use tsn_telemetry::log;
 
 use crate::ring::Ring;
@@ -301,20 +301,21 @@ impl Router {
         })
     }
 
-    /// The shard a keyless request goes to. Hashing the `request` member
-    /// (not the whole line) keeps the envelope `id`/`trace` out of the
-    /// key, so identical `synthesize` problems always land on the same
-    /// shard and its content-addressed result cache keeps hitting.
+    /// The shard a keyless request goes to. Hashing the daemon's cache key
+    /// ([`content_key`], the `request` member) rather than the whole line
+    /// keeps the envelope `id`/`trace` out of it, so identical `synthesize`
+    /// problems always land on the same shard and its result cache keeps
+    /// hitting.
     fn route_keyless(&self, request: Option<&Json>, line: &str) -> usize {
-        let key = match request {
-            Some(request) => request.to_string(),
-            None => line.trim().to_string(),
+        let hash = match request.and_then(content_key) {
+            Some(key) => fnv1a64(key.as_bytes()),
+            None => fnv1a64(line.trim().as_bytes()),
         };
         self.routing
             .lock()
             .expect("routing lock")
             .ring
-            .lookup(fnv1a64(key.as_bytes()))
+            .lookup(hash)
             .expect("the last active shard can never be drained")
     }
 

@@ -1,12 +1,16 @@
-//! Content-addressed result cache: problem hash → wire-encoded response
-//! payload, bounded by least-recently-used eviction.
+//! Content-addressed result cache: request text → response payload,
+//! bounded by least-recently-used eviction.
 //!
 //! Stateless `synthesize` requests are pure functions of their wire text
 //! (the service's payloads are deterministic by construction — every
-//! wall-clock duration is zeroed before encoding), so the canonical request
-//! body text is the cache key. Keys are bucketed by a 64-bit FNV-1a hash;
-//! each bucket stores the full key alongside the value, so hash collisions
-//! degrade to a short scan instead of a wrong answer.
+//! wall-clock duration is zeroed before encoding), so the request's text
+//! is the key: the daemon uses [`content_key`](crate::protocol::content_key),
+//! the envelope's `request` member as parsed and printed again. The key is
+//! the text as sent, not a canonical form, so a request with its members
+//! in another order misses and is solved again, to the same payload bytes.
+//! Keys are bucketed by a 64-bit FNV-1a hash; each bucket stores the full
+//! key alongside the value, so hash collisions degrade to a short scan
+//! instead of a wrong answer.
 
 use std::collections::HashMap;
 
@@ -27,11 +31,12 @@ struct CacheEntry<V> {
     last_used: u64,
 }
 
-/// An LRU-bounded map from canonical request text to response payloads.
+/// An LRU-bounded map from request text to response payloads.
 ///
 /// The value type is generic so callers can cache the payload in whatever
-/// form is cheapest to serve (the daemon stores the parsed `Json` document
-/// — a hit is one clone, with no parse or re-print on the hot path).
+/// form is cheapest to serve. The daemon stores the payload as printed
+/// (`Arc<str>`): a hit clones a pointer and splices the text into the
+/// response envelope, so nothing is decoded or printed again.
 #[derive(Debug)]
 pub struct ResultCache<V = String> {
     capacity: usize,
@@ -110,22 +115,25 @@ impl<V: Clone> ResultCache<V> {
 
     /// Looks up the payload cached for `key`, refreshing its recency.
     pub fn get(&mut self, key: &str) -> Option<V> {
+        let found = self.probe(key);
+        if found.is_none() {
+            self.misses += 1;
+        }
+        found
+    }
+
+    /// Looks up `key` like [`get`](ResultCache::get) but counts only a hit:
+    /// a caller that probes ahead of its own `get` leaves the miss to be
+    /// counted there, once.
+    pub fn probe(&mut self, key: &str) -> Option<V> {
         let clock = self.tick();
-        let found = self
+        let entry = self
             .buckets
             .get_mut(&fnv1a64(key.as_bytes()))
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.key == key));
-        match found {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.key == key))?;
+        entry.last_used = clock;
+        self.hits += 1;
+        Some(entry.value.clone())
     }
 
     /// Caches `value` under `key`, evicting the least-recently-used entry
@@ -199,6 +207,10 @@ mod tests {
         cache.insert("a".into(), "2".into());
         assert_eq!(cache.get("a").as_deref(), Some("2"));
         assert_eq!(cache.len(), 1);
+        // A probe counts its hit, and leaves a miss uncounted.
+        assert_eq!(cache.probe("a").as_deref(), Some("2"));
+        assert!(cache.probe("b").is_none());
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
     }
 
     #[test]

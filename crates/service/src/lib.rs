@@ -13,9 +13,9 @@
 //! * **one-shot `synthesize` requests**, dispatched to the monolithic
 //!   [`tsn_synthesis::Synthesizer`] or — above a configurable stream-count
 //!   threshold — to the partitioned [`tsn_scale::ScaleSynthesizer`];
-//! * **a content-addressed result cache** (request hash → wire-encoded
-//!   payload, LRU-bounded), so repeated identical solves are served without
-//!   touching a solver;
+//! * **a content-addressed result cache** (printed `request` member →
+//!   printed payload, LRU-bounded), so a repeated identical solve is
+//!   answered on the event loop without touching a solver or the pool;
 //! * **a worker-pool dispatcher** with the PR 3 determinism discipline:
 //!   concurrent requests to the *same* tenant serialize in submission
 //!   order, different tenants run in parallel.

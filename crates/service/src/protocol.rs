@@ -438,9 +438,10 @@ impl Request {
     ///
     /// Returns a [`JsonError`] for malformed envelopes or bodies.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let (id, trace) = envelope_header(json)?;
         Ok(Request {
-            id: get_i64(json, "id")?,
-            trace: json.opt_i64("trace")?,
+            id,
+            trace,
             body: RequestBody::from_json(json.field("request")?)?,
         })
     }
@@ -452,6 +453,40 @@ impl Request {
     /// Returns a [`JsonError`] for text that is not a valid envelope.
     pub fn parse_line(line: &str) -> Result<Self, JsonError> {
         Request::from_json(&Json::parse(line.trim())?)
+    }
+}
+
+/// The `(id, trace)` of a request envelope, checked as
+/// [`Request::from_json`] checks them: `id` an integer, `trace` absent,
+/// `null` or an integer.
+///
+/// # Errors
+///
+/// Returns the [`JsonError`] `Request::from_json` would return for them.
+pub fn envelope_header(doc: &Json) -> Result<(i64, Option<i64>), JsonError> {
+    Ok((get_i64(doc, "id")?, doc.opt_i64("trace")?))
+}
+
+/// The result-cache key of a request: the envelope's `request` sub-tree,
+/// printed. The daemon's cache and the router's placement of keyless
+/// requests both use it, so identical problems land on one shard and hit
+/// its cache. It is the request as sent, not a canonical form: requests
+/// that differ only in member order, or in spelling out a default
+/// (`"config":null` against no `config`), are different keys.
+///
+/// `None` for a request holding a non-finite number (`1e999` parses to
+/// infinity): it prints as `null`, so its text would be shared with other
+/// requests that decode differently. Such a request is never cached.
+pub fn content_key(request: &Json) -> Option<String> {
+    all_finite(request).then(|| request.to_string())
+}
+
+fn all_finite(json: &Json) -> bool {
+    match json {
+        Json::Float(v) => v.is_finite(),
+        Json::Arr(items) => items.iter().all(all_finite),
+        Json::Obj(members) => members.iter().all(|(_, value)| all_finite(value)),
+        _ => true,
     }
 }
 
@@ -514,19 +549,34 @@ impl Response {
         line
     }
 
+    /// The line of a successful response whose payload is already
+    /// printed: the text [`to_line`](Response::to_line) gives for the same
+    /// envelope, with `payload` spliced in as it is, never parsed.
+    pub fn ok_line(
+        id: i64,
+        trace: Option<i64>,
+        cached: bool,
+        elapsed_us: i64,
+        payload: &str,
+    ) -> String {
+        let mut line = String::with_capacity(payload.len() + 64);
+        write_head(&mut line, id, trace, cached, elapsed_us, None)
+            .expect("writing to a String cannot fail");
+        line.push_str(",\"ok\":");
+        line.push_str(payload);
+        line.push('}');
+        line
+    }
+
     fn write_line(&self, out: &mut String) -> fmt::Result {
-        write!(out, "{{\"id\":{}", self.id)?;
-        if let Some(trace) = self.trace {
-            write!(out, ",\"trace\":{trace}")?;
-        }
-        write!(
+        write_head(
             out,
-            ",\"cached\":{},\"elapsed_us\":{}",
-            self.cached, self.elapsed_us
+            self.id,
+            self.trace,
+            self.cached,
+            self.elapsed_us,
+            self.retry_after_ms,
         )?;
-        if let Some(ms) = self.retry_after_ms {
-            write!(out, ",\"retry_after_ms\":{ms}")?;
-        }
         match &self.outcome {
             Ok(payload) => write!(out, ",\"ok\":{payload}")?,
             Err(message) => {
@@ -571,6 +621,26 @@ impl Response {
     pub fn parse_line(line: &str) -> Result<Self, JsonError> {
         Response::from_json(&Json::parse(line.trim())?)
     }
+}
+
+/// Writes every envelope member of a response line before its outcome.
+fn write_head(
+    out: &mut String,
+    id: i64,
+    trace: Option<i64>,
+    cached: bool,
+    elapsed_us: i64,
+    retry_after_ms: Option<i64>,
+) -> fmt::Result {
+    write!(out, "{{\"id\":{id}")?;
+    if let Some(trace) = trace {
+        write!(out, ",\"trace\":{trace}")?;
+    }
+    write!(out, ",\"cached\":{cached},\"elapsed_us\":{elapsed_us}")?;
+    if let Some(ms) = retry_after_ms {
+        write!(out, ",\"retry_after_ms\":{ms}")?;
+    }
+    Ok(())
 }
 
 /// Builds the typed load-shedding rejection for a request the daemon
@@ -802,6 +872,12 @@ mod tests {
             let back = Request::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line);
             assert_eq!(back.id, request.id);
+            // The key of a line the encoder printed is its body's encoding.
+            let doc = Json::parse(&line).unwrap();
+            assert_eq!(
+                content_key(doc.get("request").unwrap()),
+                content_key(&request.body.to_json())
+            );
             assert_eq!(
                 back.body.tenant(),
                 request.body.tenant(),
@@ -815,6 +891,22 @@ mod tests {
                 "type_name must match the wire type"
             );
         }
+    }
+
+    #[test]
+    fn a_request_holding_a_non_finite_number_has_no_key() {
+        // `1e999` parses to infinity, which prints as `null`: its text
+        // would key it together with an explicit `null`.
+        let overflowed = Json::parse(r#"{"type":"synthesize","config":1e999}"#).unwrap();
+        assert_eq!(
+            overflowed.to_string(),
+            r#"{"type":"synthesize","config":null}"#
+        );
+        assert_eq!(content_key(&overflowed), None);
+        let nested = Json::parse(r#"{"a":[{"b":[-1e999]}]}"#).unwrap();
+        assert_eq!(content_key(&nested), None);
+        let finite = Json::parse(r#"{"type":"synthesize","config":null,"x":[1.5,2]}"#).unwrap();
+        assert_eq!(content_key(&finite), Some(finite.to_string()));
     }
 
     #[test]
@@ -854,6 +946,14 @@ mod tests {
                 outcome: Ok(Json::obj([("type", Json::from("pong"))])),
             },
             Response {
+                id: 12,
+                trace: Some(-8),
+                cached: false,
+                elapsed_us: 0,
+                retry_after_ms: None,
+                outcome: Ok(Json::obj([("type", Json::from("pong"))])),
+            },
+            Response {
                 id: 10,
                 trace: Some(31_337),
                 cached: false,
@@ -879,6 +979,17 @@ mod tests {
             let line = response.to_line();
             assert_eq!(line, response.to_json().to_string());
             assert!(!line.contains('\n'));
+            // A payload spliced in as text gives the same line.
+            if let (Ok(payload), None) = (&response.outcome, response.retry_after_ms) {
+                let spliced = Response::ok_line(
+                    response.id,
+                    response.trace,
+                    response.cached,
+                    response.elapsed_us,
+                    &payload.to_string(),
+                );
+                assert_eq!(spliced, line);
+            }
             let back = Response::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line);
             assert_eq!(back.trace, response.trace);

@@ -12,6 +12,15 @@
 //! the pool queue crosses [`ServiceConfig::shed_watermark`], `synthesize`
 //! requests are answered immediately with a typed `retry_after` rejection
 //! instead of silently deepening the queue.
+//!
+//! A `synthesize` whose payload is cached is answered on the event-loop
+//! thread, from the parsed line: its key is the printed `request` member
+//! ([`content_key`]), and the stored payload text is spliced into the
+//! envelope. No struct is decoded and nothing is printed again. Such a hit
+//! never reaches the pool, so it is never shed, never counted in
+//! `service_queue_wait_seconds`, and is still answered while the daemon
+//! drains. The loop thread takes only the cache lock, and only for one
+//! lookup; no lock it waits on is held across a solve.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -35,8 +44,8 @@ use tsn_net::poll::{Completions, ConnId, LineHandler, LineOutcome, PlaneConfig};
 
 use crate::dispatch::Dispatcher;
 use crate::protocol::{
-    batch_result_json, envelope_ids, event_result_json, shed_response, tenant_state_json,
-    zeroed_report, Backend, Request, RequestBody, Response,
+    batch_result_json, content_key, envelope_header, envelope_ids, event_result_json,
+    shed_response, tenant_state_json, zeroed_report, Backend, Request, RequestBody, Response,
 };
 use crate::ResultCache;
 
@@ -173,6 +182,9 @@ pub fn synthesize_result_json(
 /// `service_connections` is the event-loop's live client-connection count
 /// and `service_shed_total` counts `retry_after` rejections issued at the
 /// shed watermark — the pair the overload CI probe asserts on.
+/// `service_cache_total{outcome=...}` counts each `synthesize` by how it was
+/// answered: `hit` (from the cache), `coalesced` (joined an in-flight
+/// identical solve) or `solve` (became the leader and ran the solver).
 struct ServiceMetrics {
     requests: Counter,
     solve: Histogram,
@@ -183,6 +195,9 @@ struct ServiceMetrics {
     queue_depth: Gauge,
     connections: Gauge,
     shed: Counter,
+    cache_hit: Counter,
+    cache_coalesced: Counter,
+    cache_solve: Counter,
 }
 
 fn service_metrics() -> &'static ServiceMetrics {
@@ -199,6 +214,10 @@ fn service_metrics() -> &'static ServiceMetrics {
             queue_depth: registry.gauge("service_queue_depth"),
             connections: registry.gauge("service_connections"),
             shed: registry.counter("service_shed_total"),
+            cache_hit: registry.counter_with("service_cache_total", &[("outcome", "hit")]),
+            cache_coalesced: registry
+                .counter_with("service_cache_total", &[("outcome", "coalesced")]),
+            cache_solve: registry.counter_with("service_cache_total", &[("outcome", "solve")]),
         }
     })
 }
@@ -221,13 +240,6 @@ fn tenant_solve_seconds(tenant: &str) -> Histogram {
 /// jobs submitted for the tenant and not yet picked up by a worker.
 fn tenant_queue_depth(tenant: &str) -> Gauge {
     tsn_telemetry::registry().gauge_with("service_tenant_queue_depth", &[("tenant", tenant)])
-}
-
-/// Cache decision counter (`service_cache_total{outcome=...}`): `hit`
-/// (served from cache), `coalesced` (joined an in-flight identical solve),
-/// or `solve` (became the leader and ran the solver).
-fn cache_outcome(outcome: &str) -> Counter {
-    tsn_telemetry::registry().counter_with("service_cache_total", &[("outcome", outcome)])
 }
 
 /// Service-level counters, all monotonically increasing.
@@ -280,12 +292,15 @@ struct SolveSlot {
 pub struct Service {
     config: ServiceConfig,
     tenants: Mutex<BTreeMap<String, Arc<TenantSlot>>>,
-    /// Parsed payloads, so a hit is served with one clone — no parse or
-    /// re-print on the hot path.
-    cache: Mutex<ResultCache<Json>>,
-    /// Identical `synthesize` requests currently solving, keyed by the same
-    /// canonical request text as the cache. Locked *before* the cache where
-    /// both are needed, so a request either sees the cached payload or the
+    /// Solved `synthesize` payloads as printed, keyed by the request's
+    /// [`content_key`]. A hit clones a pointer and splices the text into
+    /// the envelope; the request is only parsed, never decoded, and the
+    /// payload never printed again. Held for one `get`, `probe` or `insert`
+    /// at a time, never across a solve.
+    cache: Mutex<ResultCache<Arc<str>>>,
+    /// Identical `synthesize` requests currently solving, keyed like the
+    /// cache. Locked *before* the cache where both are needed, so a request
+    /// that missed on the event loop either sees the cached payload or the
     /// in-flight slot — never the gap between them.
     in_flight: Mutex<BTreeMap<String, Arc<SolveSlot>>>,
     counters: Counters,
@@ -351,26 +366,39 @@ impl Service {
 
     /// Serves one wire line: parse, execute, encode. Never panics on
     /// malformed input — parse failures become `error` responses carrying
-    /// the request id when one could be extracted.
+    /// the request id when one could be extracted. A cache hit is answered
+    /// from the parsed line, as on the event loop.
     pub fn handle_line(&self, line: &str) -> String {
         let start_ns = self.now_ns();
         match self.decode_line(line, start_ns) {
-            Ok(request) => self.respond(&request, start_ns).to_line(),
+            Ok((request, key)) => self.respond_keyed(&request, key, start_ns).to_line(),
             Err(response) => response,
         }
     }
 
-    /// Decodes one wire line, parsing its text exactly once. A line that is
-    /// not a request is counted, logged and answered here: the `Err` is the
-    /// complete `malformed request` response line, echoing the envelope's
-    /// `id` and `trace` if the text got as far as being JSON.
-    fn decode_line(&self, line: &str, start_ns: u64) -> Result<Request, String> {
+    /// Decodes one wire line, parsing its text exactly once, into the
+    /// request and, for a `synthesize`, its cache key. A line answered
+    /// here comes back as the complete response line in the `Err`: a
+    /// `synthesize` whose payload is cached, answered from the parsed
+    /// envelope, or a line that is not a request, counted, logged and
+    /// answered `malformed request`, echoing the envelope's `id` and
+    /// `trace` if the text got as far as being JSON.
+    fn decode_line(&self, line: &str, start_ns: u64) -> Result<(Request, Option<String>), String> {
         let (e, (id, trace)) = match Json::parse(line.trim()) {
             Err(e) => (e, (None, None)),
-            Ok(doc) => match Request::from_json(&doc) {
-                Ok(request) => return Ok(request),
-                Err(e) => (e, envelope_ids(&doc)),
-            },
+            Ok(doc) => {
+                let key = synthesize_key(&doc);
+                if let Some(hit) = key
+                    .as_deref()
+                    .and_then(|k| self.answer_hit(&doc, k, start_ns))
+                {
+                    return Err(hit);
+                }
+                match Request::from_json(&doc) {
+                    Ok(request) => return Ok((request, key)),
+                    Err(e) => (e, envelope_ids(&doc)),
+                }
+            }
         };
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -391,10 +419,45 @@ impl Service {
         Err(response.to_line())
     }
 
+    /// The response line to a `synthesize` envelope whose payload is
+    /// cached, or `None` when the key misses or the envelope would not
+    /// decode (the ordinary path then answers it, errors included). The
+    /// envelope is checked as [`Request::from_json`] checks it; the
+    /// request itself printed byte for byte like one that decoded and
+    /// solved.
+    fn answer_hit(&self, doc: &Json, key: &str, start_ns: u64) -> Option<String> {
+        let (id, trace) = envelope_header(doc).ok()?;
+        let payload = self.cache.lock().expect("cache lock").probe(key)?;
+        let _span = tsn_telemetry::span!("service.request", trace.unwrap_or(id));
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let metrics = service_metrics();
+        metrics.requests.inc();
+        metrics.cache_hit.inc();
+        log_cache_hit(key);
+        metrics
+            .request_seconds
+            .observe(self.clock.since_ns(start_ns));
+        Some(Response::ok_line(
+            id,
+            trace,
+            true,
+            self.elapsed_us(start_ns),
+            &payload,
+        ))
+    }
+
     /// Executes one parsed request. `start_ns` is a [`Service::now_ns`]
     /// reading taken when the request began service (the envelope's
-    /// `elapsed_us` is measured from it).
+    /// `elapsed_us` is measured from it). A `synthesize` decoded elsewhere
+    /// is keyed by its body's encoding: the `request` member that
+    /// [`Request::to_line`] prints.
     pub fn respond(&self, request: &Request, start_ns: u64) -> Response {
+        self.respond_keyed(request, None, start_ns)
+    }
+
+    /// [`respond`](Service::respond), with the cache key of a `synthesize`
+    /// already taken from its line.
+    fn respond_keyed(&self, request: &Request, key: Option<String>, start_ns: u64) -> Response {
         let _span = tsn_telemetry::span!("service.request", request.trace.unwrap_or(request.id));
         self.evict_idle_sessions();
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -402,7 +465,7 @@ impl Service {
         if let Some(tenant) = request.body.tenant() {
             tenant_requests(tenant).inc();
         }
-        let (outcome, cached) = self.execute(&request.body);
+        let (outcome, cached) = self.execute(&request.body, key);
         match &outcome {
             Err(reason) => {
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -441,7 +504,7 @@ impl Service {
         }
     }
 
-    fn execute(&self, body: &RequestBody) -> (Result<Json, String>, bool) {
+    fn execute(&self, body: &RequestBody, key: Option<String>) -> (Result<Json, String>, bool) {
         match body {
             RequestBody::Ping => (Ok(Json::obj([("type", Json::from("pong"))])), false),
             RequestBody::Synthesize {
@@ -449,16 +512,22 @@ impl Service {
                 config,
                 backend,
             } => {
-                let key = body.to_json().to_string();
+                let config = config.as_ref().unwrap_or(&self.config.default_synthesis);
+                let Some(key) = key.or_else(|| content_key(&body.to_json())) else {
+                    // No faithful key (see `content_key`): solve, uncached.
+                    return (self.solve(problem, config, *backend), false);
+                };
                 // Under the in-flight lock a request sees exactly one of:
-                // the cached payload, an identical solve already running
-                // (join it as a waiter), or neither (become the leader).
+                // the cached payload (a solve finished since the event loop
+                // looked), an identical solve already running (join it as a
+                // waiter), or neither (become the leader).
                 let slot = {
                     let mut in_flight = self.in_flight.lock().expect("in-flight lock");
                     if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
-                        cache_outcome("hit").inc();
-                        log::info("service.cache", "cache hit", &[("bytes", key.len().into())]);
-                        return (Ok(hit), true);
+                        service_metrics().cache_hit.inc();
+                        log_cache_hit(&key);
+                        let payload = Json::parse(&hit).expect("the cache holds printed JSON");
+                        return (Ok(payload), true);
                     }
                     match in_flight.get(&key) {
                         Some(slot) => Some(Arc::clone(slot)),
@@ -474,7 +543,7 @@ impl Service {
                     self.counters
                         .coalesced_misses
                         .fetch_add(1, Ordering::Relaxed);
-                    cache_outcome("coalesced").inc();
+                    service_metrics().cache_coalesced.inc();
                     log::info(
                         "service.cache",
                         "coalesced onto in-flight identical solve",
@@ -486,8 +555,6 @@ impl Service {
                     }
                     return (result.clone().expect("checked above"), false);
                 }
-                self.counters.solves.fetch_add(1, Ordering::Relaxed);
-                cache_outcome("solve").inc();
                 log::info(
                     "service.cache",
                     "cache miss, solving",
@@ -496,28 +563,21 @@ impl Service {
                         ("apps", problem.applications().len().into()),
                     ],
                 );
-                let config = config.as_ref().unwrap_or(&self.config.default_synthesis);
-                let solve_span = tsn_telemetry::span!("service.solve");
-                let solve_start = self.clock.now_ns();
-                let outcome = synthesize_result_json(
-                    problem,
-                    config,
-                    *backend,
-                    self.config.scale_threshold_apps,
-                );
-                service_metrics()
-                    .solve
-                    .observe(self.clock.since_ns(solve_start));
-                drop(solve_span);
+                let outcome = self.solve(problem, config, *backend);
                 // Publish under the in-flight lock (cache first), so later
-                // identical requests never fall between cache and slot.
+                // identical requests never fall between cache and slot. The
+                // payload is printed before either lock is taken.
+                let printed = outcome
+                    .as_ref()
+                    .ok()
+                    .map(|p| Arc::<str>::from(p.to_string()));
                 let slot = {
                     let mut in_flight = self.in_flight.lock().expect("in-flight lock");
-                    if let Ok(payload) = &outcome {
+                    if let Some(text) = printed {
                         self.cache
                             .lock()
                             .expect("cache lock")
-                            .insert(key.clone(), payload.clone());
+                            .insert(key.clone(), text);
                     }
                     in_flight.remove(&key)
                 };
@@ -700,7 +760,11 @@ impl Service {
                 }
             }
             RequestBody::Stats => {
-                let cache = self.cache.lock().expect("cache lock");
+                // Read and release: the event loop looks up under this lock.
+                let (entries, hits, misses) = {
+                    let cache = self.cache.lock().expect("cache lock");
+                    (cache.len(), cache.hits(), cache.misses())
+                };
                 (
                     Ok(Json::obj([
                         ("type", Json::from("stats")),
@@ -713,9 +777,9 @@ impl Service {
                             "errors",
                             Json::Int(self.counters.errors.load(Ordering::Relaxed) as i64),
                         ),
-                        ("cache_entries", Json::from(cache.len())),
-                        ("cache_hits", Json::Int(cache.hits() as i64)),
-                        ("cache_misses", Json::Int(cache.misses() as i64)),
+                        ("cache_entries", Json::from(entries)),
+                        ("cache_hits", Json::Int(hits as i64)),
+                        ("cache_misses", Json::Int(misses as i64)),
                         (
                             "solves",
                             Json::Int(self.counters.solves.load(Ordering::Relaxed) as i64),
@@ -914,9 +978,29 @@ impl Service {
             .count()
     }
 
+    /// Runs the solver for one `synthesize`, counted as a solve.
+    fn solve(
+        &self,
+        problem: &SynthesisProblem,
+        config: &SynthesisConfig,
+        backend: Backend,
+    ) -> Result<Json, String> {
+        self.counters.solves.fetch_add(1, Ordering::Relaxed);
+        service_metrics().cache_solve.inc();
+        let _span = tsn_telemetry::span!("service.solve");
+        let solve_start = self.clock.now_ns();
+        let outcome =
+            synthesize_result_json(problem, config, backend, self.config.scale_threshold_apps);
+        service_metrics()
+            .solve
+            .observe(self.clock.since_ns(solve_start));
+        outcome
+    }
+
     /// Drops the warm session of every tenant idle longer than
     /// [`ServiceConfig::session_idle`] (no-op when unset). Runs inline at
-    /// the start of each request — cheap when disabled, and an engine busy
+    /// the start of each executed request (a cache hit touches no tenant
+    /// and skips it) — cheap when disabled, and an engine busy
     /// under its lock is by definition not idle, so `try_lock` skips are
     /// correct, not racy.
     fn evict_idle_sessions(&self) {
@@ -959,6 +1043,23 @@ impl Service {
             self.config.workers
         }
     }
+}
+
+/// The cache key of a parsed envelope whose request is a `synthesize`, the
+/// one cacheable type; other requests are never keyed.
+fn synthesize_key(doc: &Json) -> Option<String> {
+    let request = doc.get("request")?;
+    if request.get("type").and_then(Json::as_str) != Some("synthesize") {
+        return None;
+    }
+    content_key(request)
+}
+
+/// Logs a cache hit at `debug`, the level of the per-request "served"
+/// event: at `info`, cached traffic would push every warning out of the
+/// `health` log tail.
+fn log_cache_hit(key: &str) {
+    log::debug("service.cache", "cache hit", &[("bytes", key.len().into())]);
 }
 
 /// How many recent structured-log events a `health` response carries.
@@ -1074,10 +1175,10 @@ impl LineHandler for ServiceHandler<'_, '_> {
         if line.trim().is_empty() {
             return LineOutcome::Ignore;
         }
-        let request = match self.service.decode_line(line, self.service.now_ns()) {
-            Ok(request) => request,
-            // Malformed lines answer immediately (no pool round-trip),
-            // still in order.
+        let (request, cache_key) = match self.service.decode_line(line, self.service.now_ns()) {
+            Ok(decoded) => decoded,
+            // Cache hits and malformed lines answer immediately (no pool
+            // round-trip), still in order.
             Err(response) => return LineOutcome::Respond(response),
         };
         // Load shedding: once the pool queue is past the watermark, new
@@ -1165,7 +1266,9 @@ impl LineHandler for ServiceHandler<'_, '_> {
                     wait_ns,
                     Some(trace.unwrap_or(id)),
                 );
-                let response = service.respond(&request, start_ns).to_line();
+                let response = service
+                    .respond_keyed(&request, cache_key, start_ns)
+                    .to_line();
                 completions.complete(conn, seq, response);
                 metrics.workers_busy.add(-1);
             });

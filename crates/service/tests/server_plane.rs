@@ -1,6 +1,7 @@
 //! Connection-plane behavior of the live daemon: slow-loris clients,
 //! oversized-line rejection, stalled readers, a thousand idle connections
-//! on a bounded thread count, and load shedding past the queue watermark.
+//! on a bounded thread count, load shedding past the queue watermark, and
+//! cache hits answered in request order behind pending solves.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -371,6 +372,35 @@ fn synthesize_sheds_past_the_queue_watermark() {
         shed_total >= 1,
         "shed counter must have moved: {shed_total}"
     );
+    drop(client);
+    shutdown_daemon(daemon);
+}
+
+#[test]
+fn a_cache_hit_behind_a_pending_solve_is_answered_in_request_order() {
+    // A hit is answered on the event loop while the solve before it is
+    // still on a worker; the plane must hold it until that solve's
+    // response is written.
+    let daemon = start_daemon(ServiceConfig::default());
+    let mut client = Client::connect(daemon.addr);
+    let primed = client.round_trip(&synthesize(1, 1, false));
+    assert!(primed.outcome.is_ok() && !primed.cached);
+    client.send(&synthesize(10, 2, true));
+    client.send(&synthesize(11, 1, false));
+    client.send(&ping(12));
+    let cold = client.recv();
+    assert_eq!(cold.id, 10, "responses must stay in request order");
+    assert!(cold.outcome.is_ok() && !cold.cached);
+    let hit = client.recv();
+    assert_eq!(hit.id, 11, "responses must stay in request order");
+    assert!(hit.cached, "the repeated problem must hit");
+    assert_eq!(
+        hit.outcome.expect("a cached payload").to_string(),
+        primed.outcome.expect("a solved payload").to_string()
+    );
+    let pong = client.recv();
+    assert_eq!(pong.id, 12, "responses must stay in request order");
+    assert!(pong.outcome.is_ok());
     drop(client);
     shutdown_daemon(daemon);
 }

@@ -324,3 +324,75 @@ fn flagship_load_trace_is_clean() {
     assert_eq!(check.responses, total);
     assert!(check.cache_hits >= 5, "{check:?}");
 }
+
+/// The payload text of an `ok` response line, as the daemon wrote it.
+fn payload_text(reply: &str) -> &str {
+    let start = reply.find(",\"ok\":").expect("an ok response") + ",\"ok\":".len();
+    &reply[start..reply.len() - 1]
+}
+
+#[test]
+fn a_reordered_request_is_a_miss_solved_to_the_same_payload() {
+    // The cache key is the `request` member as sent, so member order and a
+    // spelled-out default are part of it: a reordered request, or one that
+    // leaves its defaults out, misses and is solved again — to the same
+    // payload bytes, with `cached:false`.
+    let config = ServiceConfig::default();
+    let direct = tsn_service::synthesize_result_json(
+        &pool_problem(0),
+        &config.default_synthesis,
+        Backend::Auto,
+        config.scale_threshold_apps,
+    )
+    .expect("the pool problem solves")
+    .to_string();
+    let service = Service::new(config);
+    let Json::Obj(members) = (RequestBody::Synthesize {
+        problem: pool_problem(0),
+        config: None,
+        backend: Backend::Auto,
+    })
+    .to_json() else {
+        panic!("a request body encodes as an object");
+    };
+    let reversed = Json::Obj(members.iter().rev().cloned().collect());
+    let defaults_left_out = Json::Obj(
+        members
+            .iter()
+            .filter(|(key, _)| key != "config" && key != "backend")
+            .cloned()
+            .collect(),
+    );
+    let as_sent = Json::Obj(members);
+    let mut id = 0;
+    let mut send = |request: &Json| {
+        id += 1;
+        let line = Json::obj([("id", Json::Int(id)), ("request", request.clone())]).to_string();
+        let reply = service.handle_line(&line);
+        let cached = Response::parse_line(&reply).expect("a response").cached;
+        assert_eq!(payload_text(&reply), direct, "{line}");
+        cached
+    };
+    for request in [&as_sent, &reversed, &defaults_left_out] {
+        assert!(!send(request), "a new key is solved");
+        assert!(send(request), "the same key hits");
+    }
+    let stats = Response::parse_line(
+        &service.handle_line(
+            &Request {
+                id: 99,
+                trace: None,
+                body: RequestBody::Stats,
+            }
+            .to_line(),
+        ),
+    )
+    .unwrap()
+    .outcome
+    .unwrap();
+    assert_eq!(
+        stats.get("solves").and_then(Json::as_i64),
+        Some(3),
+        "{stats}"
+    );
+}

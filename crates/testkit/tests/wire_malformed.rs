@@ -665,6 +665,58 @@ fn retry_after_codec_round_trips_and_rejects_confusion() {
 }
 
 #[test]
+fn a_cached_request_in_a_malformed_envelope_is_refused_not_served() {
+    // The daemon answers a cache hit from the parsed line, before the
+    // envelope is decoded into a `Request`. An envelope that would not
+    // decode must still draw the `malformed request` reply a daemon with
+    // an empty cache gives, never the cached payload.
+    let request = RequestBody::Synthesize {
+        problem: figure1_problem(LinkSpec::fast_ethernet(), Time::from_micros(5)),
+        config: None,
+        backend: Backend::Auto,
+    }
+    .to_json();
+    let envelope = |members: Vec<(&str, Json)>| {
+        let mut pairs: Vec<(String, Json)> = members
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect();
+        pairs.push(("request".to_string(), request.clone()));
+        Json::Obj(pairs).to_string()
+    };
+    let warm = Service::new(ServiceConfig::default());
+    let solved = envelope(vec![("id", Json::Int(1))]);
+    assert!(Response::parse_line(&warm.handle_line(&solved))
+        .unwrap()
+        .outcome
+        .is_ok());
+    let hit = Response::parse_line(&warm.handle_line(&solved)).unwrap();
+    assert!(hit.cached, "the same line must hit");
+
+    let cold = Service::new(ServiceConfig::default());
+    for members in [
+        vec![("id", Json::from("7"))],
+        vec![("id", Json::Int(7)), ("trace", Json::Float(1.5))],
+        vec![],
+    ] {
+        let line = envelope(members);
+        let served = Response::parse_line(&warm.handle_line(&line)).unwrap();
+        let reason = served.outcome.as_ref().expect_err(&line);
+        assert!(reason.starts_with("malformed request"), "{reason}");
+        assert!(!served.cached, "{line}");
+        let expected = Response::parse_line(&cold.handle_line(&line)).unwrap();
+        let zeroed = |r: Response| Response { elapsed_us: 0, ..r }.to_line();
+        assert_eq!(zeroed(served), zeroed(expected), "{line}");
+    }
+    // `1e999` parses to infinity, which prints as the cached `null`.
+    let overflowed = solved.replace("\"config\":null", "\"config\":1e999");
+    assert_ne!(overflowed, solved);
+    let served = Response::parse_line(&warm.handle_line(&overflowed)).unwrap();
+    let reason = served.outcome.expect_err(&overflowed);
+    assert!(reason.starts_with("malformed request"), "{reason}");
+}
+
+#[test]
 fn negative_delays_are_rejected_at_every_boundary() {
     // With a negative link or forwarding delay a schedule's link releases
     // run backwards along its route, and `verify_schedule` accepts it. The
